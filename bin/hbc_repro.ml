@@ -392,15 +392,24 @@ let run_cmd =
             exit 2
       in
       let (Ir.Program.Any p) = entry.Workloads.Registry.make config.Experiments.Harness.scale in
+      let t0 = Unix.gettimeofday () in
       let r = Sched_run.run ~request ~backend ?beat engine p in
+      let wall_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
       Printf.printf "benchmark        : %s (%s on %s)\n" entry.Workloads.Registry.name executor
         backend_s;
       Printf.printf "baseline work    : %d cycles (simulated reference)\n"
         base.Sim.Run_result.work_cycles;
-      Printf.printf "makespan         : %d us wall on %d domains\n" r.Sim.Run_result.makespan
-        config.Experiments.Harness.workers;
+      List.iter print_endline
+        (Sched_run.makespan_lines ~backend engine r ~wall_us
+           ~workers:config.Experiments.Harness.workers);
       Printf.printf "body work        : %d cycles\n" r.Sim.Run_result.work_cycles;
       Printf.printf "promotions       : %d\n" r.Sim.Run_result.metrics.Sim.Metrics.promotions;
+      if Sched_run.makespan_in_wall_us backend engine then begin
+        let m = r.Sim.Run_result.metrics in
+        Printf.printf "heartbeats       : %d generated, %d detected, %d missed; %d polls\n"
+          m.Sim.Metrics.heartbeats_generated m.Sim.Metrics.heartbeats_detected
+          m.Sim.Metrics.heartbeats_missed m.Sim.Metrics.polls
+      end;
       (match fault_plan with
       | None -> ()
       | Some plan ->

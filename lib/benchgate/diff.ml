@@ -4,6 +4,7 @@ type line = {
   probe : string;
   metric : string;
   kind : Report.kind option;
+  polarity : Report.polarity option;
   old_v : float option;
   new_v : float option;
   delta_pct : float option;
@@ -32,41 +33,57 @@ let probe_names (r : Report.t) = List.map (fun p -> p.Report.probe) r.Report.pro
 let metric_names (p : Report.probe) = List.map (fun m -> m.Report.metric) p.Report.metrics
 
 let whole_probe_line ~probe status =
-  { probe; metric = "*"; kind = None; old_v = None; new_v = None; delta_pct = None; status }
+  {
+    probe;
+    metric = "*";
+    kind = None;
+    polarity = None;
+    old_v = None;
+    new_v = None;
+    delta_pct = None;
+    status;
+  }
 
 let compare_metric ~threshold ~adv_threshold ~probe (old_m : Report.metric option)
     (new_m : Report.metric option) name =
-  let kind =
+  (* The baseline's declaration rules: it is the committed contract. *)
+  let kind, polarity =
     match (old_m, new_m) with
-    | _, Some m | Some m, _ -> Some m.Report.kind
-    | None, None -> None
+    | Some m, _ | None, Some m -> (Some m.Report.kind, Some m.Report.polarity)
+    | None, None -> (None, None)
   in
   let old_v = Option.map (fun m -> m.Report.value) old_m in
   let new_v = Option.map (fun m -> m.Report.value) new_m in
   match (old_v, new_v) with
   | None, None -> None
   | Some _, None ->
-      Some { probe; metric = name; kind; old_v; new_v; delta_pct = None; status = Removed }
+      Some
+        { probe; metric = name; kind; polarity; old_v; new_v; delta_pct = None; status = Removed }
   | None, Some _ ->
-      Some { probe; metric = name; kind; old_v; new_v; delta_pct = None; status = Added }
+      Some { probe; metric = name; kind; polarity; old_v; new_v; delta_pct = None; status = Added }
   | Some o, Some n ->
       let delta_pct = if o = 0.0 then None else Some (100.0 *. (n -. o) /. o) in
       let rel = match delta_pct with Some p -> p /. 100.0 | None -> 0.0 in
       let status =
-        match kind with
-        | Some Report.Deterministic ->
-            (* Lower is better: every deterministic metric is a cost. A
-               baseline of exactly zero is a zero-cost guarantee, so any
+        match (kind, polarity) with
+        | Some Report.Deterministic, Some Report.Exact -> if n = o then Unchanged else Regressed
+        | Some Report.Deterministic, (Some Report.Cost | None) ->
+            (* A baseline of exactly zero is a zero-cost guarantee, so any
                nonzero candidate is a regression. *)
             if o = 0.0 then if n = 0.0 then Unchanged else Regressed
             else if rel > threshold then Regressed
             else if rel < -.threshold then Improved
             else Unchanged
-        | Some Report.Advisory ->
+        | Some Report.Deterministic, Some Report.Benefit ->
+            if o = 0.0 then if n > 0.0 then Improved else if n = 0.0 then Unchanged else Regressed
+            else if rel < -.threshold then Regressed
+            else if rel > threshold then Improved
+            else Unchanged
+        | Some Report.Advisory, _ ->
             if o <> 0.0 && Float.abs rel > adv_threshold then Changed else Unchanged
-        | None -> Unchanged
+        | None, _ -> Unchanged
       in
-      Some { probe; metric = name; kind; old_v; new_v; delta_pct; status }
+      Some { probe; metric = name; kind; polarity; old_v; new_v; delta_pct; status }
 
 let compare ?(threshold = 0.02) ?(adv_threshold = 0.25) ~(old : Report.t) ~(new_ : Report.t) ()
     =
@@ -144,6 +161,7 @@ let render ?(threshold = 0.02) ~(old : Report.t) ~(new_ : Report.t) lines verdic
           l.probe;
           l.metric;
           (match l.kind with Some k -> Report.kind_tag k | None -> "-");
+          (match l.polarity with Some p -> Report.polarity_tag p | None -> "-");
           cell_opt l.old_v;
           cell_opt l.new_v;
           cell_pct l.delta_pct;
@@ -153,12 +171,15 @@ let render ?(threshold = 0.02) ~(old : Report.t) ~(new_ : Report.t) lines verdic
   in
   let count st = List.length (List.filter (fun l -> l.status = st) lines) in
   let header =
-    Printf.sprintf "bench-diff: %s -> %s (gate: deterministic metric +%.0f%% hard-fails)\n"
+    Printf.sprintf
+      "bench-diff: %s -> %s (gate: a deterministic cost up or benefit down by %.0f%%, or any \
+       change to an exact metric, hard-fails)\n"
       old.Report.label new_.Report.label (100.0 *. threshold)
   in
   let body =
     if interesting = [] then "  no differences\n"
-    else render_rows [ "probe"; "metric"; "class"; "old"; "new"; "delta"; "status" ] rows
+    else
+      render_rows [ "probe"; "metric"; "class"; "polarity"; "old"; "new"; "delta"; "status" ] rows
   in
   let summary =
     Printf.sprintf

@@ -1,13 +1,17 @@
 (** Regression diff between two {!Report.t} values: the binding half of the
     perf gate.
 
-    All deterministic metrics are costs (cycles, allocation words, event
-    counts): lower is better. A deterministic metric that grew by more than
-    [threshold] (relative; default 2%) is a {!Regressed} line and makes the
-    verdict {!Fail}; one that shrank past the threshold is {!Improved}
-    (still {!Pass}). Advisory metrics (wall time) can at most {!Warn}, and
-    only past the looser [adv_threshold] (default 25%) so timer jitter does
-    not drown the table. Probes or metrics present on only one side —
+    Each deterministic metric is judged by its {!Report.polarity}, taken
+    from the old (baseline) report when it has the metric. A
+    {!Report.Cost} that grew, or a {!Report.Benefit} that fell, by more
+    than [threshold] (relative; default 2%) is a {!Regressed} line and
+    makes the verdict {!Fail}; a move the other way past the threshold is
+    {!Improved} (still {!Pass}). A zero baseline is a guarantee: a cost
+    leaving zero regresses, a benefit leaving zero improves. A
+    {!Report.Exact} metric regresses on any change at all. Advisory
+    metrics (wall time) can at most {!Warn}, and only past the looser
+    [adv_threshold] (default 25%) so timer jitter does not drown the
+    table. Probes or metrics present on only one side —
     metric-set skew between an old baseline and a new suite — never fail
     the gate: they surface as {!Added} / {!Removed} warnings. *)
 
@@ -17,6 +21,7 @@ type line = {
   probe : string;
   metric : string;
   kind : Report.kind option;  (** [None] for whole-probe Added/Removed lines *)
+  polarity : Report.polarity option;  (** [None] for whole-probe lines *)
   old_v : float option;
   new_v : float option;
   delta_pct : float option;  (** [None] when either side is missing or old = 0 *)

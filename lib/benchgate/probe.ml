@@ -1,12 +1,13 @@
 type ctx = { mutable acc : Report.metric list (* newest first *) }
 
-let det ctx name value =
-  ctx.acc <- { Report.metric = name; value; kind = Report.Deterministic } :: ctx.acc
+let det ?(polarity = Report.Cost) ctx name value =
+  ctx.acc <- { Report.metric = name; value; kind = Report.Deterministic; polarity } :: ctx.acc
 
-let deti ctx name value = det ctx name (float_of_int value)
+let deti ?polarity ctx name value = det ?polarity ctx name (float_of_int value)
 
 let adv ctx name value =
-  ctx.acc <- { Report.metric = name; value; kind = Report.Advisory } :: ctx.acc
+  ctx.acc <-
+    { Report.metric = name; value; kind = Report.Advisory; polarity = Report.Cost } :: ctx.acc
 
 (* Words allocated by [f]: the minor counter is a pure allocation count;
    subtracting promoted words from the major counter leaves only direct
@@ -40,7 +41,7 @@ let run ~name ?(det_alloc = true) f =
   let minor1, major1 = sample () in
   let minor = minor1 -. minor0 in
   let major = major1 -. major0 in
-  (if det_alloc then det else adv) ctx "alloc_minor_words" minor;
+  (if det_alloc then det ctx else adv ctx) "alloc_minor_words" minor;
   adv ctx "alloc_major_words" major;
   adv ctx "wall_ns" ((t1 -. t0) *. 1e9);
   { Report.probe = name; metrics = List.rev ctx.acc }

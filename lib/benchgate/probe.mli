@@ -18,13 +18,15 @@
 
 type ctx
 
-val det : ctx -> string -> float -> unit
-(** Report one deterministic metric. *)
+val det : ?polarity:Report.polarity -> ctx -> string -> float -> unit
+(** Report one deterministic metric; [polarity] (default {!Report.Cost})
+    says which way it may move. *)
 
-val deti : ctx -> string -> int -> unit
+val deti : ?polarity:Report.polarity -> ctx -> string -> int -> unit
 
 val adv : ctx -> string -> float -> unit
-(** Report one advisory (non-gating) metric. *)
+(** Report one advisory (non-gating) metric; its polarity is
+    {!Report.Cost}, and the gate ignores it. *)
 
 val run : name:string -> ?det_alloc:bool -> (ctx -> unit) -> Report.probe
 (** [run ~name body] measures [body]. [det_alloc] (default [true])

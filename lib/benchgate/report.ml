@@ -1,6 +1,8 @@
 type kind = Deterministic | Advisory
 
-type metric = { metric : string; value : float; kind : kind }
+type polarity = Cost | Benefit | Exact
+
+type metric = { metric : string; value : float; kind : kind; polarity : polarity }
 
 type probe = { probe : string; metrics : metric list }
 
@@ -11,7 +13,7 @@ type t = {
   probes : probe list;
 }
 
-let schema_version = 1
+let schema_version = 2
 
 let make ?(notes = []) ~label probes = { schema = schema_version; label; notes; probes }
 
@@ -20,6 +22,8 @@ let find_probe t name = List.find_opt (fun p -> p.probe = name) t.probes
 let find_metric p name = List.find_opt (fun m -> m.metric = name) p.metrics
 
 let kind_tag = function Deterministic -> "det" | Advisory -> "adv"
+
+let polarity_tag = function Cost -> "cost" | Benefit -> "benefit" | Exact -> "exact"
 
 exception Malformed of string
 
@@ -30,12 +34,19 @@ let kind_of_tag = function
   | "adv" -> Advisory
   | other -> fail "unknown metric kind %S" other
 
+let polarity_of_tag = function
+  | "cost" -> Cost
+  | "benefit" -> Benefit
+  | "exact" -> Exact
+  | other -> fail "unknown metric polarity %S" other
+
 let metric_to_json m =
   Obs.Json.Obj
     [
       ("metric", Obs.Json.Str m.metric);
       ("value", Obs.Json.Float m.value);
       ("kind", Obs.Json.Str (kind_tag m.kind));
+      ("polarity", Obs.Json.Str (polarity_tag m.polarity));
     ]
 
 let probe_to_json p =
@@ -71,7 +82,12 @@ let metric_of_json = function
         | Some tag -> kind_of_tag tag
         | None -> fail "metric %S without a kind" metric
       in
-      { metric; value; kind }
+      let polarity =
+        match Obs.Json.get_str "polarity" fields with
+        | Some tag -> polarity_of_tag tag
+        | None -> fail "metric %S without a polarity" metric
+      in
+      { metric; value; kind; polarity }
   | _ -> fail "metric is not an object"
 
 let probe_of_json = function

@@ -10,7 +10,15 @@
 
 type kind = Deterministic | Advisory
 
-type metric = { metric : string; value : float; kind : kind }
+(** Which way a deterministic metric may move. {!Cost}: lower is better
+    (cycles, allocation words, event counts); growth fails the gate.
+    {!Benefit}: higher is better (goodput, completed jobs, detected
+    beats); a drop fails. {!Exact}: the value is a fixed property of the
+    probe (operation counts, an identity flag, a schedule pinned to be
+    byte-identical); any change fails. *)
+type polarity = Cost | Benefit | Exact
+
+type metric = { metric : string; value : float; kind : kind; polarity : polarity }
 
 type probe = { probe : string; metrics : metric list }
 
@@ -33,6 +41,9 @@ val find_metric : probe -> string -> metric option
 val kind_tag : kind -> string
 (** ["det"] / ["adv"], the on-disk tags. *)
 
+val polarity_tag : polarity -> string
+(** ["cost"] / ["benefit"] / ["exact"], the on-disk tags. *)
+
 (** {2 Codec}
 
     Serialization is deterministic (field order fixed, floats as
@@ -40,7 +51,9 @@ val kind_tag : kind -> string
 
 exception Malformed of string
 (** Raised by {!of_string} / {!read_file} on JSON that parses but does not
-    describe a report (wrong schema, missing fields, bad kind tags). *)
+    describe a report (wrong schema, missing fields, bad kind or polarity
+    tags). Schema 2 added the per-metric polarity; schema-1 reports are
+    refused, since reading one would mean guessing its polarities. *)
 
 val to_json : t -> Obs.Json.t
 

@@ -21,7 +21,7 @@ let micro_deque () =
           ignore (Sim.Deque.steal d)
         done
       done;
-      Probe.deti ctx "ops" (rounds * 16))
+      Probe.deti ~polarity:Report.Exact ctx "ops" (rounds * 16))
 
 let micro_rng () =
   Probe.run ~name:"micro/rng-zipf" (fun ctx ->
@@ -30,7 +30,7 @@ let micro_rng () =
       for _ = 1 to draws do
         ignore (Sim.Sim_rng.zipf r ~alpha:1.4 ~n:1000)
       done;
-      Probe.deti ctx "draws" draws)
+      Probe.deti ~polarity:Report.Exact ctx "draws" draws)
 
 let micro_perfect_hash () =
   Probe.run ~name:"micro/perfect-hash" (fun ctx ->
@@ -40,7 +40,7 @@ let micro_perfect_hash () =
       for i = 1 to lookups do
         ignore (Hbc_core.Perfect_hash.lookup t (i mod 24, i mod 12))
       done;
-      Probe.deti ctx "lookups" lookups)
+      Probe.deti ~polarity:Report.Exact ctx "lookups" lookups)
 
 let micro_adaptive_chunking () =
   Probe.run ~name:"micro/adaptive-chunking" (fun ctx ->
@@ -52,7 +52,7 @@ let micro_adaptive_chunking () =
         done;
         ignore (Sched.Adaptive_chunking.on_heartbeat ac)
       done;
-      Probe.deti ctx "beats" beats)
+      Probe.deti ~polarity:Report.Exact ctx "beats" beats)
 
 (* The executor's fast path: every runtime event goes through a tee of the
    counting sink and the request's sink, which for an untraced run is
@@ -70,8 +70,8 @@ let micro_trace_emission () =
         Obs.Trace.Sink.emit sink ~time:i ~worker:(i land 7) (Obs.Trace.promotion (i land 3));
         Obs.Trace.Sink.emit sink ~time:i ~worker:(i land 7) Obs.Trace.Heartbeat_generated
       done;
-      Probe.deti ctx "events" (rounds * 4);
-      Probe.deti ctx "counted_promotions" m.Sim.Metrics.promotions)
+      Probe.deti ~polarity:Report.Exact ctx "events" (rounds * 4);
+      Probe.deti ~polarity:Report.Exact ctx "counted_promotions" m.Sim.Metrics.promotions)
 
 (* The engine's dispatch loop: workers ticking their clocks plus one
    recurring timer, i.e. the event pattern every simulated run is made of.
@@ -121,12 +121,12 @@ let micro_checkpoint_capture () =
       let resumed =
         Hbc_core.Executor.run ~request:(Hbc_core.Run_request.make ~resume_from:ck ()) rt p
       in
-      Probe.deti ctx "encodes" rounds;
+      Probe.deti ~polarity:Report.Exact ctx "encodes" rounds;
       Probe.deti ctx "checkpoint_bytes" (String.length encoded);
       Probe.deti ctx "live_slices" (List.length ck.Sim.Checkpoint_state.slices);
       Probe.deti ctx "remaining_iters" (Sim.Checkpoint_state.remaining_iterations ck);
       Probe.deti ctx "resumed_makespan" resumed.Sim.Run_result.makespan;
-      Probe.deti ctx "identical"
+      Probe.deti ~polarity:Report.Exact ctx "identical"
         (if
            resumed.Sim.Run_result.makespan = full.Sim.Run_result.makespan
            && resumed.Sim.Run_result.fingerprint = full.Sim.Run_result.fingerprint
@@ -137,15 +137,37 @@ let micro_checkpoint_capture () =
    poll-count heartbeats, untraced (the backend's lock-free fast path —
    identity critical sections, no-op emission). Single-worker scheduling
    is fully deterministic (the owner pops its own spawned halves in
-   order), so promotions and body work gate; real time is advisory. *)
+   order), so promotions and body work gate; real time is advisory.
+
+   [interp_alloc_minor_words] gates the interpreter's own allocation:
+   the minor words of one [run_program] call on inputs built beforehand,
+   after a warm-up call. With one worker and [Every_polls] no other
+   domain runs, so the main domain's counter sees the whole run, and the
+   interpreter allocates only per promotion — never per iteration, poll
+   or leaf invocation — so the count is a deterministic function of the
+   schedule. The probe's own [alloc_minor_words] also counts input
+   generation and compilation, hence stays advisory. *)
 let micro_domains_dispatch () =
   Probe.run ~name:"micro/domains-dispatch" ~det_alloc:false (fun ctx ->
       let entry = Workloads.Registry.find "spmv-powerlaw" in
       let rt = { Hbc_core.Rt_config.default with workers = 1; seed } in
       let (Ir.Program.Any p) = entry.Workloads.Registry.make tiny_scale in
-      let r = Hb_parallel.Native_run.run ~beat:(Hb_parallel.Native_run.Every_polls 64) rt p in
-      Probe.deti ctx "promotions" r.Sim.Run_result.metrics.Sim.Metrics.promotions;
-      Probe.deti ctx "work_cycles" r.Sim.Run_result.work_cycles;
+      let compiled = Hbc_core.Pipeline.compile_program ~chunk:rt.Hbc_core.Rt_config.chunk p in
+      let run () =
+        let env = p.Ir.Program.make_env () in
+        let source = { p with Ir.Program.make_env = (fun () -> env) } in
+        let compiled = { compiled with Hbc_core.Pipeline.source } in
+        let beat = Hb_parallel.Native_run.Every_polls 64 in
+        let w0 = Gc.minor_words () in
+        let r = Hb_parallel.Native_run.run_program ~beat rt compiled in
+        (r, Gc.minor_words () -. w0)
+      in
+      ignore (run ());
+      let r, interp_words = run () in
+      Probe.deti ~polarity:Report.Exact ctx "promotions"
+        r.Sim.Run_result.metrics.Sim.Metrics.promotions;
+      Probe.deti ~polarity:Report.Exact ctx "work_cycles" r.Sim.Run_result.work_cycles;
+      Probe.det ctx "interp_alloc_minor_words" interp_words;
       Probe.adv ctx "makespan_wall_us" (Float.of_int r.Sim.Run_result.makespan))
 
 (* The chaos-era guarantee on the untraced native fast path: with no
@@ -173,7 +195,7 @@ let micro_native_untraced_overhead () =
         Hb_parallel.Domains_backend.charge_steal_attempt b
       done;
       let hot_words = int_of_float (Gc.minor_words () -. w0) in
-      Probe.deti ctx "rounds" rounds;
+      Probe.deti ~polarity:Report.Exact ctx "rounds" rounds;
       Probe.deti ctx "vetoes" !vetoes;
       Probe.deti ctx "hot_path_alloc_words" hot_words)
 
@@ -202,7 +224,7 @@ let result_metrics ctx (r : Sim.Run_result.t) =
   Probe.deti ctx "steals" m.Sim.Metrics.steals;
   Probe.deti ctx "steal_attempts" m.Sim.Metrics.steal_attempts;
   Probe.deti ctx "polls" m.Sim.Metrics.polls;
-  Probe.deti ctx "heartbeats_detected" m.Sim.Metrics.heartbeats_detected
+  Probe.deti ~polarity:Report.Benefit ctx "heartbeats_detected" m.Sim.Metrics.heartbeats_detected
 
 (* Macro bodies run the effect-handler executor, whose fiber machinery
    allocates nondeterministically (see Probe): alloc words advisory. *)
@@ -313,8 +335,8 @@ let serve_probe ~name mk =
   Probe.run ~name ~det_alloc:false (fun ctx ->
       let r = Serve.Server.run (mk ()) in
       let s = r.Serve.Server.stats in
-      Probe.deti ctx "submitted" s.Serve.Server.submitted;
-      Probe.deti ctx "completed" s.Serve.Server.completed;
+      Probe.deti ~polarity:Report.Exact ctx "submitted" s.Serve.Server.submitted;
+      Probe.deti ~polarity:Report.Benefit ctx "completed" s.Serve.Server.completed;
       Probe.deti ctx "shed" s.Serve.Server.shed;
       Probe.deti ctx "deadline_exceeded" s.Serve.Server.deadline_exceeded;
       Probe.deti ctx "failed" s.Serve.Server.failed;
@@ -322,7 +344,7 @@ let serve_probe ~name mk =
       Probe.deti ctx "makespan_cycles" s.Serve.Server.makespan;
       Probe.det ctx "sojourn_p50_cycles" s.Serve.Server.sojourn_p50;
       Probe.det ctx "sojourn_p99_cycles" s.Serve.Server.sojourn_p99;
-      Probe.det ctx "goodput" s.Serve.Server.goodput)
+      Probe.det ~polarity:Report.Benefit ctx "goodput" s.Serve.Server.goodput)
 
 (* Light load: everything admits and completes; pins the happy-path tail. *)
 let serve_steady () =
@@ -409,8 +431,8 @@ let serve_preempt () =
           }
       in
       let s = r.Serve.Server.stats in
-      Probe.deti ctx "submitted" s.Serve.Server.submitted;
-      Probe.deti ctx "completed" s.Serve.Server.completed;
+      Probe.deti ~polarity:Report.Exact ctx "submitted" s.Serve.Server.submitted;
+      Probe.deti ~polarity:Report.Benefit ctx "completed" s.Serve.Server.completed;
       Probe.deti ctx "checkpointed" s.Serve.Server.checkpointed;
       Probe.deti ctx "resumed" s.Serve.Server.resumed;
       Probe.deti ctx "makespan_cycles" s.Serve.Server.makespan;

@@ -25,7 +25,68 @@
    The monitor domain ({!start_monitor}) broadcasts every
    [park_timeout_s] as the robustness backstop — a wakeup the chaos
    layer suppressed (or a genuinely lost signal) strands a worker for at
-   most one timeout, not forever. *)
+   most one timeout, not forever.
+
+   Heartbeats: given a beat period, the monitor is also the paper's ping
+   thread (§2/§5). It reads the clock once per wake and sets the beat
+   flag of every busy worker whose period has elapsed; a poll is then a
+   read of the worker's own flag. A flag still set when the next beat
+   arrives was overwritten before it was consumed: that beat counts as
+   missed, exactly as the simulator's ping-thread delivery does.
+
+   Per-worker state: the interpreter keeps everything a worker writes on
+   its poll path — the beat flag, its counters, its progress and work —
+   in one padded record per worker ({!slot}), so no two workers write
+   the same cache line per poll. *)
+
+(* All fields are immediates, so every store is a plain store (no write
+   barrier) and the record holds no pointer the GC must chase. *)
+type slot = {
+  index : int;
+  mutable beat : bool;
+  mutable generated : int;
+  mutable missed : int;
+  mutable detected : int;
+  mutable polls : int;
+  mutable poll_beat_at : int;
+  mutable progress : int;
+  mutable work : int;
+  mutable stall_left : int;
+  mutable since_beat : int;
+  mutable downgraded : bool;
+  mutable pad0 : int;
+  mutable pad1 : int;
+  mutable pad2 : int;
+  mutable pad3 : int;
+  mutable pad4 : int;
+  mutable pad5 : int;
+  mutable pad6 : int;
+  mutable pad7 : int;
+}
+
+let make_slot ~worker:i =
+  {
+    index = i;
+    beat = false;
+    generated = 0;
+    missed = 0;
+    detected = 0;
+    polls = 0;
+    poll_beat_at = 0;
+    progress = 0;
+    work = 0;
+    stall_left = 0;
+    since_beat = 0;
+    downgraded = false;
+    pad0 = 0;
+    pad1 = 0;
+    pad2 = 0;
+    pad3 = 0;
+    pad4 = 0;
+    pad5 = 0;
+    pad6 = 0;
+    pad7 = 0;
+  }
 
 type t = {
   n : int;
@@ -211,18 +272,44 @@ let idle b =
 
 (* --- monitor domain ------------------------------------------------ *)
 
-let start_monitor ?(tick = fun () -> ()) b =
-  if b.n > 1 && b.monitor = None then begin
+(* One beat reaching [s]: an unconsumed previous beat is overwritten and
+   counts missed. The monitor is the only writer of [generated] and
+   [missed]; the owner only ever clears a flag it has read set. *)
+let deliver s =
+  s.generated <- s.generated + 1;
+  if s.beat then s.missed <- s.missed + 1 else s.beat <- true
+
+let start_monitor ?(tick = fun () -> ()) ?beat b =
+  if (b.n > 1 || Option.is_some beat) && b.monitor = None then begin
     Atomic.set b.monitor_stop false;
+    let beat_s = match beat with Some (us, _) -> us *. 1e-6 | None -> park_timeout_s in
+    let t0 = Unix.gettimeofday () in
     b.monitor <-
       Some
         (Domain.spawn (fun () ->
+             let due = Array.make b.n (t0 +. beat_s) in
+             let next_park = ref (t0 +. park_timeout_s) in
              while not (Atomic.get b.monitor_stop) do
-               Unix.sleepf park_timeout_s;
-               Mutex.lock b.park_mu;
-               Condition.broadcast b.park_cond;
-               Mutex.unlock b.park_mu;
-               tick ()
+               Unix.sleepf (Float.min beat_s park_timeout_s);
+               let now = Unix.gettimeofday () in
+               (match beat with
+               | Some (_, slots) ->
+                   for w = 0 to b.n - 1 do
+                     if now >= due.(w) then begin
+                       due.(w) <- now +. beat_s;
+                       if b.busy.(w) then deliver slots.(w)
+                     end
+                   done
+               | None -> ());
+               (* the backstop keeps its own cadence whatever the beat
+                  period; a late wake catches up instead of drifting *)
+               if now >= !next_park then begin
+                 next_park := Float.max (!next_park +. park_timeout_s) now;
+                 Mutex.lock b.park_mu;
+                 Condition.broadcast b.park_cond;
+                 Mutex.unlock b.park_mu;
+                 tick ()
+               end
              done))
   end
 

@@ -16,9 +16,50 @@
     steal attempts can be vetoed and parked-worker wakeups suppressed
     from per-worker seeded decision streams, reproducible from
     [(plan seed, P)]. Without an injector every chaos hook
-    short-circuits on one bool. *)
+    short-circuits on one bool.
+
+    Given a beat period, the monitor domain ({!start_monitor}) is the
+    heartbeat source — the paper's ping thread: it sets per-worker beat
+    flags, so a poll is a read of the worker's own {!slot}. *)
 
 type t
+
+(** One worker's hot state, padded so that no two workers' records share
+    a cache line (OCaml 5.1 has no [Atomic.make_contended]; the [pad*]
+    fields are never used). Every field is an immediate.
+
+    Writers: the monitor writes [generated] and [missed] and sets [beat];
+    the owning worker clears [beat] and writes every other field. The
+    interpreter running on the backend ({!Native_run}) owns the records
+    and hands them to {!start_monitor}. Cross-domain reads are racy by
+    design — the monitor's samples and the owner's flag read tolerate
+    staleness — and the end-of-run sums are exact because they are read
+    after every domain is joined. *)
+type slot = {
+  index : int;  (** the worker this record belongs to *)
+  mutable beat : bool;  (** a delivered, not yet consumed heartbeat *)
+  mutable generated : int;  (** beats the monitor delivered or overwrote *)
+  mutable missed : int;  (** beats overwritten before they were consumed *)
+  mutable detected : int;  (** beats the owner consumed at a poll or latch *)
+  mutable polls : int;  (** leaf polls *)
+  mutable poll_beat_at : int;  (** [Every_polls]: poll count of the next beat *)
+  mutable progress : int;  (** scheduling points passed (every beat check) *)
+  mutable work : int;  (** body work, in the program's cycle units *)
+  mutable stall_left : int;  (** chaos: polls left in an injected stall *)
+  mutable since_beat : int;  (** chaos: consecutive suppressed beats *)
+  mutable downgraded : bool;  (** chaos: watchdog rung 1 tripped *)
+  mutable pad0 : int;
+  mutable pad1 : int;
+  mutable pad2 : int;
+  mutable pad3 : int;
+  mutable pad4 : int;
+  mutable pad5 : int;
+  mutable pad6 : int;
+  mutable pad7 : int;
+}
+
+val make_slot : worker:int -> slot
+(** A zeroed record for [worker]. *)
 
 val register : worker:int -> unit
 (** Bind the calling domain to a worker index (domain-local). The pool
@@ -46,12 +87,20 @@ val wake_all : t -> unit
 (** Unconditionally wake every parked worker (never chaos-suppressed);
     the shutdown path pairs this with the core's finished flag. *)
 
-val start_monitor : ?tick:(unit -> unit) -> t -> unit
-(** Spawn the monitor domain (no-op when [workers = 1] or already
-    running): broadcasts the park condition every bounded timeout so a
-    lost or chaos-suppressed wakeup strands a worker for at most one
-    period, and calls [tick] once per period — the watchdog's sampling
-    hook. *)
+val start_monitor : ?tick:(unit -> unit) -> ?beat:float * slot array -> t -> unit
+(** Spawn the monitor domain (no-op when already running, or when
+    [workers = 1] and no [beat] is given). Every 200 µs it broadcasts
+    the park condition, so a lost or chaos-suppressed wakeup strands a
+    worker for at most one period, and calls [tick] — the watchdog's
+    sampling hook.
+
+    With [beat = (us, slots)] it is also the heartbeat source: it wakes
+    every [min us 200] µs, reads the clock once, and for each worker
+    whose [us] period has elapsed delivers a beat to its record in
+    [slots] (indexed by worker) if the worker is busy — setting [beat],
+    or counting the beat [missed] when the previous one is still
+    unconsumed. The broadcast and [tick] keep
+    their 200 µs cadence whatever the beat period. *)
 
 val stop_monitor : t -> unit
 (** Stop and join the monitor domain, if running. Call only after the

@@ -12,6 +12,19 @@
    validates native streams with its full invariant set; fingerprints
    cross-check against simulator runs of the same program.
 
+   Cheap polls. Under [Wall_us] the monitor domain is the beat source —
+   the paper's ping thread (§2/§5): it reads the clock once per wake and
+   sets each busy worker's beat flag, so a poll is a read of the worker's
+   own flag, never a clock read. Everything a worker writes per poll (the
+   flag, beat and poll counters, progress, body work, chaos stall and
+   watchdog state) lives in one padded record per worker
+   ([Domains_backend.slot]) that the task state carries, so polls touch
+   no shared cache line and no domain-local storage. The interpreter
+   allocates nothing per iteration, poll or leaf invocation: the loops
+   are recursive functions that return the work they did, and
+   adaptive-chunking state is an array indexed [worker][nest][ord] built
+   at run start.
+
    Fault tolerance (the robustness layer, all strictly opt-in):
 
    - Chaos: a backend-portable [Sim.Fault_plan] attaches a
@@ -54,15 +67,24 @@ exception Pause_now
 exception Resume_diverged of string
 
 (* When a native worker observes a heartbeat. [Wall_us] is the paper's
-   interval timer; [Every_polls] is a deterministic poll-count proxy that
-   makes single-domain runs reproducible (benchgate, CI smoke). *)
+   interval timer, driven by the monitor domain; [Every_polls] is a
+   deterministic poll-count proxy that makes single-domain runs
+   reproducible (benchgate, CI smoke). *)
 type beat_source = Wall_us of float | Every_polls of int
 
 type status = Done | Promoted of int
 
 type seg_result = Seg_ok | Seg_promoted of int
 
-type task_state = { residual : int array; mutable no_promote : bool; mutable forbidden : int }
+(* A task never migrates between workers mid-run (it executes on the
+   domain that claimed it), so its state carries that worker's record and
+   the hot path needs no domain-local lookup. *)
+type task_state = {
+  residual : int array;
+  mutable no_promote : bool;
+  mutable forbidden : int;
+  slot : Domains_backend.slot;
+}
 
 (* Live-slice registry for checkpoint capture, armed only when the request
    pauses or resumes (same scheme as the executor's): one LIFO stack per
@@ -76,24 +98,18 @@ type run_state = {
   b : Domains_backend.t;
   core : C.t;
   beat : beat_source;
-  next_beat : float array;  (* per worker, Wall_us only *)
-  polls : int array;  (* per worker, Every_polls only *)
-  progress : int array;
-      (* per-worker scheduling-point counter (every consume call), always
-         bumped: the pause-boundary clock at P=1 and the liveness signal
-         the monitor watchdog samples. Plain stores — monitor reads race,
-         which the watchdog tolerates. *)
-  ac : (int * int, Sched.Adaptive_chunking.t) Hashtbl.t array;
-      (* per worker, keyed (nest_id, ord) — worker-private, no lock *)
-  work : int array;  (* per-worker body-work cycles, summed at the end *)
+  slots : Domains_backend.slot array;
+      (* per-worker padded records: beat flag and counters, progress (the
+         scheduling-point counter every beat check bumps: the pause-boundary
+         clock at P=1 and the liveness signal the monitor watchdog samples),
+         body work, chaos stall/watchdog state *)
+  ac : Sched.Adaptive_chunking.t array array array;
+      (* [worker][nest_id][ord], built at run start — worker-private *)
   promotions : int Atomic.t;
   promo_left : int Atomic.t;  (* metered promotions; max_int = unmetered *)
   promo_disabled : bool Atomic.t;  (* watchdog rung 2: no further splits *)
   capture : bool;
   chaos : bool;  (* an active fault injector is attached to the backend *)
-  stall_left : int array;  (* injected stall: polls left to ignore beats *)
-  since_beat : int array;  (* consecutive suppressed beats (watchdog rung 1) *)
-  downgraded : bool array;  (* rung 1 tripped: polling fallback, beats always land *)
   downgrades : int Atomic.t;
   live_slices : live_slice list array option;
   mutable next_mark : int;
@@ -105,39 +121,38 @@ type run_state = {
 
 type 'e nest_handle = { st : run_state; nest : 'e Compiled.nest; nest_id : int; env : 'e }
 
-let wid (st : run_state) = Domains_backend.worker_id st.b
-
 let emit (st : run_state) ev = Domains_backend.critical st.b (fun () -> Domains_backend.emit st.b ev)
 
-let add_work (st : run_state) c = if c > 0 then st.work.(wid st) <- st.work.(wid st) + c
+let add_work (s : Domains_backend.slot) c = if c > 0 then s.work <- s.work + c
 
-(* A beat reached [w]'s boundary under chaos on a non-downgraded worker:
+(* A beat reached [s]'s boundary under chaos on a non-downgraded worker:
    decide delivery. An injected stall window or a drop suppresses it;
    [watchdog_k] consecutive suppressions trip rung 1 — from then on the
    worker polls for beats directly (downgraded), so starvation is bounded
    by [watchdog_k] beat periods. *)
-let chaos_beat st w =
+let chaos_beat st (s : Domains_backend.slot) =
   let inj = Domains_backend.injector st.b in
+  let w = s.index in
   let suppressed =
-    if st.stall_left.(w) > 0 then true
+    if s.stall_left > 0 then true
     else begin
-      let s = Sim.Fault_injector.stall_polls inj ~worker:w in
-      if s > 0 then begin
-        st.stall_left.(w) <- s;
+      let k = Sim.Fault_injector.stall_polls inj ~worker:w in
+      if k > 0 then begin
+        s.stall_left <- k;
         true
       end
       else Sim.Fault_injector.drop_beat inj ~worker:w
     end
   in
   if not suppressed then begin
-    st.since_beat.(w) <- 0;
+    s.since_beat <- 0;
     true
   end
   else begin
-    st.since_beat.(w) <- st.since_beat.(w) + 1;
-    if st.since_beat.(w) >= st.cfg.Rt_config.watchdog_k then begin
-      st.downgraded.(w) <- true;
-      st.stall_left.(w) <- 0;
+    s.since_beat <- s.since_beat + 1;
+    if s.since_beat >= st.cfg.Rt_config.watchdog_k then begin
+      s.downgraded <- true;
+      s.stall_left <- 0;
       Atomic.incr st.downgrades;
       emit st Obs.Trace.Mechanism_downgrade;
       (* the fallback poll delivers the beat that tripped the watchdog *)
@@ -146,35 +161,42 @@ let chaos_beat st w =
     else false
   end
 
-(* One heartbeat check on this worker. A leaf poll counts ([count_poll]);
-   a non-leaf latch only reads the flag, exactly as in the simulator.
-   Every call bumps the progress counter (one plain store — the untraced
-   fault-free hot path stays allocation-free); chaos and pause marks cost
-   nothing when unarmed thanks to the [chaos] bool and the max_int
-   sentinel. *)
-let consume (st : run_state) w ~count_poll =
-  st.progress.(w) <- st.progress.(w) + 1;
-  if count_poll && st.chaos && st.stall_left.(w) > 0 then
-    st.stall_left.(w) <- st.stall_left.(w) - 1;
-  if st.progress.(w) = st.next_mark then st.on_mark ();
+(* One heartbeat check on this task's worker. A leaf poll counts
+   ([count_poll]); a non-leaf latch only reads the flag, exactly as in the
+   simulator. Under [Wall_us] the check reads and clears the flag the
+   monitor sets — no clock read; under [Every_polls] it compares the poll
+   count with the next beat's. Every call bumps the progress counter; a
+   beat seen here counts detected even when chaos then suppresses it (the
+   fault counters record that). Chaos and pause marks cost nothing when
+   unarmed thanks to the [chaos] bool and the max_int sentinel. *)
+let consume (st : run_state) (ts : task_state) ~count_poll =
+  let s = ts.slot in
+  s.progress <- s.progress + 1;
+  if count_poll then begin
+    s.polls <- s.polls + 1;
+    if st.chaos && s.stall_left > 0 then s.stall_left <- s.stall_left - 1
+  end;
+  if s.progress = st.next_mark then st.on_mark ();
   let boundary =
     match st.beat with
     | Every_polls n ->
-        if count_poll then st.polls.(w) <- st.polls.(w) + 1;
-        if st.polls.(w) >= n then begin
-          st.polls.(w) <- 0;
+        if s.polls >= s.poll_beat_at then begin
+          s.poll_beat_at <- s.polls + n;
           true
         end
         else false
-    | Wall_us us ->
-        let t = Unix.gettimeofday () in
-        if t >= st.next_beat.(w) then begin
-          st.next_beat.(w) <- t +. (us *. 1e-6);
+    | Wall_us _ ->
+        if s.beat then begin
+          s.beat <- false;
           true
         end
         else false
   in
-  boundary && ((not st.chaos) || st.downgraded.(w) || chaos_beat st w)
+  if boundary then begin
+    s.detected <- s.detected + 1;
+    (not st.chaos) || s.downgraded || chaos_beat st s
+  end
+  else false
 
 (* Spend one metered promotion, failing when racing workers drained the
    meter first; unmetered runs never touch the counter. *)
@@ -196,49 +218,48 @@ let may_promote st (ts : task_state) =
   && Atomic.get st.promo_left > 0
   && not (Atomic.get st.promo_disabled)
 
+(* Called where the task starts running, so [slot] is its worker's. *)
 let fresh_task_state c =
   {
     residual = Array.make (Ir.Nesting_tree.size c.nest.Compiled.tree) 0;
     no_promote = false;
     forbidden = -1;
+    slot = c.st.slots.(Domains_backend.worker_id c.st.b);
   }
 
-let ac_for st ~worker ~nest_id ~ord =
-  let tbl = st.ac.(worker) in
-  let key = (nest_id, ord) in
-  match Hashtbl.find_opt tbl key with
-  | Some a -> a
-  | None ->
-      let a =
-        Sched.Adaptive_chunking.create ~target_polls:st.cfg.Rt_config.ac_target_polls
-          ~window:st.cfg.Rt_config.ac_window ()
-      in
-      Hashtbl.add tbl key a;
-      a
+(* Sequential execution, allocation-free: each function returns the body
+   work it performed. [serial_range] runs the rest of [ctx]'s slice,
+   [exec_segs] one iteration's segments, [serial_loop] a whole non-DOALL
+   subtree. *)
+let rec serial_range c (ctxs : Ir.Ctx.set) segs (ctx : Ir.Ctx.t) acc =
+  if ctx.Ir.Ctx.lo >= ctx.Ir.Ctx.hi then acc
+  else begin
+    let acc = exec_segs c ctxs segs ctx.Ir.Ctx.lo acc in
+    ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1;
+    serial_range c ctxs segs ctx acc
+  end
 
-(* Sequential subtree execution for non-DOALL (pruned) loops. *)
-let rec serial_loop c (ctxs : Ir.Ctx.set) (l : _ Ir.Nest.loop) acc =
+and exec_segs c ctxs segs iter acc =
+  match segs with
+  | [] -> acc
+  | Ir.Nest.Stmt s :: rest -> exec_segs c ctxs rest iter (acc + s.Ir.Nest.exec c.env ctxs iter)
+  | Ir.Nest.Nested child :: rest -> exec_segs c ctxs rest iter (acc + serial_loop c ctxs child)
+
+and serial_loop c ctxs (l : _ Ir.Nest.loop) =
   let ctx = ctxs.(l.Ir.Nest.ordinal) in
   let lo, hi = l.Ir.Nest.bounds c.env ctxs in
   Ir.Ctx.set_slice ctx ~lo ~hi;
   (match l.Ir.Nest.init with Some f -> f c.env ctx.Ir.Ctx.locals | None -> ());
-  while ctx.Ir.Ctx.lo < ctx.Ir.Ctx.hi do
-    List.iter
-      (fun seg ->
-        match seg with
-        | Ir.Nest.Stmt s -> acc := !acc + s.Ir.Nest.exec c.env ctxs ctx.Ir.Ctx.lo
-        | Ir.Nest.Nested child -> serial_loop c ctxs child acc)
-      l.Ir.Nest.body;
-    ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
-  done
+  serial_range c ctxs l.Ir.Nest.body ctx 0
 
-let exec_leaf_iteration c ctxs (info : _ Compiled.loop_info) iter acc =
-  List.iter
-    (fun seg ->
-      match seg with
-      | Ir.Nest.Stmt s -> acc := !acc + s.Ir.Nest.exec c.env ctxs iter
-      | Ir.Nest.Nested child -> serial_loop c ctxs child acc)
-    info.Compiled.loop.Ir.Nest.body
+(* Iterations [k, stop) of a leaf chunk; the context tracks the running
+   iteration so the latch and leftover tasks see it. *)
+let rec leaf_chunk c ctxs segs (ctx : Ir.Ctx.t) k stop acc =
+  if k >= stop then acc
+  else begin
+    ctx.Ir.Ctx.lo <- k;
+    leaf_chunk c ctxs segs ctx (k + 1) stop (exec_segs c ctxs segs k acc)
+  end
 
 (* Same invocation-key scheme as the executor (content hash of the
    ancestor iteration vector + nest id + execution epoch), so spawned
@@ -279,7 +300,7 @@ let rec run_slice : 'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> int -> sta
          worker that started it), so registration and removal hit the
          same stack. A [Pause_now] unwind skips the removal on purpose:
          the checkpoint reads the still-registered activations. *)
-      let w = wid c.st in
+      let w = ts.slot.index in
       live.(w) <-
         {
           ck_key = slice_key c ctxs ord;
@@ -295,162 +316,150 @@ let rec run_slice : 'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> int -> sta
 and run_slice_body : 'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> int -> status =
  fun c ts ctxs ord ->
   let info = c.nest.Compiled.infos.(ord) in
-  let ctx = ctxs.(ord) in
   if not info.Compiled.doall then begin
     (* Bounds were set by the caller; run the subtree serially. *)
-    let acc = ref 0 in
-    while ctx.Ir.Ctx.lo < ctx.Ir.Ctx.hi do
-      List.iter
-        (fun seg ->
-          match seg with
-          | Ir.Nest.Stmt s -> acc := !acc + s.Ir.Nest.exec c.env ctxs ctx.Ir.Ctx.lo
-          | Ir.Nest.Nested child -> serial_loop c ctxs child acc)
-        info.Compiled.loop.Ir.Nest.body;
-      ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
-    done;
-    add_work c.st !acc;
+    add_work ts.slot (serial_range c ctxs info.Compiled.loop.Ir.Nest.body ctxs.(ord) 0);
     Done
   end
-  else if info.Compiled.is_leaf then run_leaf c ts ctxs info
+  else if info.Compiled.is_leaf then begin
+    if not c.st.cfg.Rt_config.chunk_transferring then ts.residual.(ord) <- 0;
+    run_leaf c ts ctxs info c.st.ac.(ts.slot.index).(c.nest_id).(ord)
+  end
   else run_general c ts ctxs info
 
-and run_leaf : 'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> 'e Compiled.loop_info -> status
-    =
- fun c ts ctxs info ->
-  let st = c.st in
-  let ord = info.Compiled.ordinal in
-  let ctx = ctxs.(ord) in
-  let w = wid st in
-  let ac =
-    match info.Compiled.chunk with
-    | Compiled.Adaptive -> Some (ac_for st ~worker:w ~nest_id:c.nest_id ~ord)
-    | Compiled.Static _ | Compiled.No_chunking -> None
-  in
-  if not st.cfg.Rt_config.chunk_transferring then ts.residual.(ord) <- 0;
-  let result = ref None in
-  let handle_beat () =
-    (match ac with
-    | Some a when st.capture -> (
-        match Sched.Adaptive_chunking.on_heartbeat_full a with
-        | Some d ->
-            emit st
-              (Obs.Trace.Chunk_update
-                 {
-                   key = ctxs.(c.nest.Compiled.root).Ir.Ctx.lo;
-                   chunk = d.Sched.Adaptive_chunking.new_chunk;
-                 });
-            emit st
-              (Obs.Trace.Chunk_decision
-                 {
-                   key = slice_key c ctxs ord;
-                   old_chunk = d.Sched.Adaptive_chunking.old_chunk;
-                   min_polls = d.Sched.Adaptive_chunking.min_polls;
-                   chunk = d.Sched.Adaptive_chunking.new_chunk;
-                 })
-        | None -> ())
-    | Some a -> ignore (Sched.Adaptive_chunking.on_heartbeat a)
-    | None -> ());
-    if may_promote st ts then promote c ts ctxs info else None
-  in
-  while !result = None && ctx.Ir.Ctx.lo < ctx.Ir.Ctx.hi do
-    let s =
-      match info.Compiled.chunk with
-      | Compiled.No_chunking -> 1
-      | Compiled.Static s -> s
-      | Compiled.Adaptive -> Sched.Adaptive_chunking.chunk_size (Option.get ac)
-    in
-    if ts.residual.(ord) <= 0 then ts.residual.(ord) <- s;
-    let start = ctx.Ir.Ctx.lo in
-    let todo = Stdlib.min ts.residual.(ord) (ctx.Ir.Ctx.hi - start) in
-    let acc = ref 0 in
-    for k = 0 to todo - 1 do
-      ctx.Ir.Ctx.lo <- start + k;
-      exec_leaf_iteration c ctxs info (start + k) acc
-    done;
-    emit_iter_exec c ctxs ord ~lo:start ~hi:(start + todo);
-    add_work st !acc;
-    (* ctx.lo is the last executed iteration: the latch sees it, the
-       leftover task resumes at lo + 1. *)
-    ts.residual.(ord) <- ts.residual.(ord) - todo;
-    if ts.residual.(ord) = 0 then begin
-      (match ac with Some a -> Sched.Adaptive_chunking.on_poll a | None -> ());
-      let beat = consume st w ~count_poll:true || st.cfg.Rt_config.force_promotion in
-      if beat then begin
-        match handle_beat () with
-        | Some s -> result := Some s
-        | None -> ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
-      end
-      else ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
-    end
-    else
-      (* Partial chunk: the invocation ends here and the residual transfers
-         to the next invocation of this leaf in this task. *)
-      ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
-  done;
-  match !result with Some s -> s | None -> Done
-
-and run_general :
-    'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> 'e Compiled.loop_info -> status =
- fun c ts ctxs info ->
-  let st = c.st in
-  let ctx = ctxs.(info.Compiled.ordinal) in
-  let result = ref None in
-  while !result = None && ctx.Ir.Ctx.lo < ctx.Ir.Ctx.hi do
-    let iter = ctx.Ir.Ctx.lo in
-    match run_segments c ts ctxs info info.Compiled.loop.Ir.Nest.body iter with
-    | Seg_promoted j when j = info.Compiled.ordinal -> result := Some Done
-    | Seg_promoted j -> result := Some (Promoted j)
-    | Seg_ok ->
-        (* Emitted before the latch so a promotion splitting this loop
-           cannot lose the completed iteration. *)
-        emit_iter_exec c ctxs info.Compiled.ordinal ~lo:iter ~hi:(iter + 1);
-        let beat = consume st (wid st) ~count_poll:false || st.cfg.Rt_config.force_promotion in
-        if beat && may_promote st ts then begin
-          match promote c ts ctxs info with
-          | Some s -> result := Some s
-          | None -> ctx.Ir.Ctx.lo <- iter + 1
-        end
-        else ctx.Ir.Ctx.lo <- iter + 1
-  done;
-  match !result with Some s -> s | None -> Done
-
-and run_segments :
+(* The leaf loop, one chunk per step. [a] is this worker's chunking state
+   for the leaf; only [Adaptive] leaves read or update it. *)
+and run_leaf :
     'e.
     'e nest_handle ->
     task_state ->
     Ir.Ctx.set ->
     'e Compiled.loop_info ->
-    'e Ir.Nest.segment list ->
-    int ->
-    seg_result =
- fun c ts ctxs _info segs iter ->
+    Sched.Adaptive_chunking.t ->
+    status =
+ fun c ts ctxs info a ->
   let st = c.st in
-  let rec go = function
-    | [] -> Seg_ok
-    | Ir.Nest.Stmt s :: rest ->
-        add_work st (s.Ir.Nest.exec c.env ctxs iter);
-        go rest
-    | Ir.Nest.Nested child :: rest ->
-        let cinfo = c.nest.Compiled.infos.(child.Ir.Nest.ordinal) in
-        if cinfo.Compiled.doall then begin
-          let lo, hi = child.Ir.Nest.bounds c.env ctxs in
-          Ir.Ctx.set_slice ctxs.(child.Ir.Nest.ordinal) ~lo ~hi;
-          (match child.Ir.Nest.init with
-          | Some f -> f c.env ctxs.(child.Ir.Nest.ordinal).Ir.Ctx.locals
-          | None -> ());
-          emit_slice_enter c ctxs child.Ir.Nest.ordinal;
-          match run_slice c ts ctxs child.Ir.Nest.ordinal with
-          | Done -> go rest
-          | Promoted j -> Seg_promoted j
-        end
-        else begin
-          let acc = ref 0 in
-          serial_loop c ctxs child acc;
-          add_work st !acc;
-          go rest
-        end
-  in
-  go segs
+  let ord = info.Compiled.ordinal in
+  let ctx = ctxs.(ord) in
+  if ctx.Ir.Ctx.lo >= ctx.Ir.Ctx.hi then Done
+  else begin
+    let adaptive = match info.Compiled.chunk with Compiled.Adaptive -> true | _ -> false in
+    let s =
+      match info.Compiled.chunk with
+      | Compiled.No_chunking -> 1
+      | Compiled.Static s -> s
+      | Compiled.Adaptive -> Sched.Adaptive_chunking.chunk_size a
+    in
+    if ts.residual.(ord) <= 0 then ts.residual.(ord) <- s;
+    let start = ctx.Ir.Ctx.lo in
+    let todo = Stdlib.min ts.residual.(ord) (ctx.Ir.Ctx.hi - start) in
+    let work = leaf_chunk c ctxs info.Compiled.loop.Ir.Nest.body ctx start (start + todo) 0 in
+    emit_iter_exec c ctxs ord ~lo:start ~hi:(start + todo);
+    add_work ts.slot work;
+    (* ctx.lo is the last executed iteration: the latch sees it, the
+       leftover task resumes at lo + 1. *)
+    ts.residual.(ord) <- ts.residual.(ord) - todo;
+    (* A full chunk ends in a poll. A partial one ends the invocation: the
+       residual transfers to the next invocation of this leaf in this
+       task. *)
+    let beat =
+      ts.residual.(ord) = 0
+      && begin
+           if adaptive then Sched.Adaptive_chunking.on_poll a;
+           consume st ts ~count_poll:true || st.cfg.Rt_config.force_promotion
+         end
+    in
+    match if beat then leaf_beat c ts ctxs info a ~adaptive else None with
+    | Some r -> r
+    | None ->
+        ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1;
+        run_leaf c ts ctxs info a
+  end
+
+(* A beat seen at a leaf poll: close the chunking interval, then try to
+   promote. [None] means the leaf keeps running. *)
+and leaf_beat :
+    'e.
+    'e nest_handle ->
+    task_state ->
+    Ir.Ctx.set ->
+    'e Compiled.loop_info ->
+    Sched.Adaptive_chunking.t ->
+    adaptive:bool ->
+    status option =
+ fun c ts ctxs info a ~adaptive ->
+  let st = c.st in
+  if adaptive then begin
+    if st.capture then begin
+      match Sched.Adaptive_chunking.on_heartbeat_full a with
+      | Some d ->
+          emit st
+            (Obs.Trace.Chunk_update
+               {
+                 key = ctxs.(c.nest.Compiled.root).Ir.Ctx.lo;
+                 chunk = d.Sched.Adaptive_chunking.new_chunk;
+               });
+          emit st
+            (Obs.Trace.Chunk_decision
+               {
+                 key = slice_key c ctxs info.Compiled.ordinal;
+                 old_chunk = d.Sched.Adaptive_chunking.old_chunk;
+                 min_polls = d.Sched.Adaptive_chunking.min_polls;
+                 chunk = d.Sched.Adaptive_chunking.new_chunk;
+               })
+      | None -> ()
+    end
+    else ignore (Sched.Adaptive_chunking.on_heartbeat a)
+  end;
+  if may_promote st ts then promote c ts ctxs info else None
+
+and run_general :
+    'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> 'e Compiled.loop_info -> status =
+ fun c ts ctxs info ->
+  let st = c.st in
+  let ord = info.Compiled.ordinal in
+  let ctx = ctxs.(ord) in
+  if ctx.Ir.Ctx.lo >= ctx.Ir.Ctx.hi then Done
+  else begin
+    let iter = ctx.Ir.Ctx.lo in
+    match run_segments c ts ctxs info.Compiled.loop.Ir.Nest.body iter with
+    | Seg_promoted j -> if j = ord then Done else Promoted j
+    | Seg_ok -> (
+        (* Emitted before the latch so a promotion splitting this loop
+           cannot lose the completed iteration. *)
+        emit_iter_exec c ctxs ord ~lo:iter ~hi:(iter + 1);
+        let beat = consume st ts ~count_poll:false || st.cfg.Rt_config.force_promotion in
+        match if beat && may_promote st ts then promote c ts ctxs info else None with
+        | Some r -> r
+        | None ->
+            ctx.Ir.Ctx.lo <- iter + 1;
+            run_general c ts ctxs info)
+  end
+
+and run_segments :
+    'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> 'e Ir.Nest.segment list -> int -> seg_result
+    =
+ fun c ts ctxs segs iter ->
+  match segs with
+  | [] -> Seg_ok
+  | Ir.Nest.Stmt s :: rest ->
+      add_work ts.slot (s.Ir.Nest.exec c.env ctxs iter);
+      run_segments c ts ctxs rest iter
+  | Ir.Nest.Nested child :: rest ->
+      let o = child.Ir.Nest.ordinal in
+      if c.nest.Compiled.infos.(o).Compiled.doall then begin
+        let lo, hi = child.Ir.Nest.bounds c.env ctxs in
+        Ir.Ctx.set_slice ctxs.(o) ~lo ~hi;
+        (match child.Ir.Nest.init with Some f -> f c.env ctxs.(o).Ir.Ctx.locals | None -> ());
+        emit_slice_enter c ctxs o;
+        match run_slice c ts ctxs o with
+        | Done -> run_segments c ts ctxs rest iter
+        | Promoted j -> Seg_promoted j
+      end
+      else begin
+        add_work ts.slot (serial_loop c ctxs child);
+        run_segments c ts ctxs rest iter
+      end
 
 (* The promotion handler: policy-chosen split of the current context
    chain, task creation through the shared core, clone-optimized join.
@@ -570,7 +579,7 @@ and run_leftover : 'e. 'e nest_handle -> no_promote:bool -> Ir.Ctx.set -> Compil
     | Compiled.Tail_work { of_; after } -> (
         let info = c.nest.Compiled.infos.(of_) in
         let segs = Compiled.tail_of info ~after in
-        match run_segments c ts ctxs info segs ctxs.(of_).Ir.Ctx.lo with
+        match run_segments c ts ctxs segs ctxs.(of_).Ir.Ctx.lo with
         | Seg_ok ->
             emit_iter_exec c ctxs of_ ~lo:ctxs.(of_).Ir.Ctx.lo ~hi:(ctxs.(of_).Ir.Ctx.lo + 1);
             Sched.Leftover_walk.Next
@@ -690,11 +699,19 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
       b;
       core;
       beat;
-      next_beat = Array.make n 0.0;
-      polls = Array.make n 0;
-      progress = Array.make n 0;
-      ac = Array.init n (fun _ -> Hashtbl.create 8);
-      work = Array.make n 0;
+      slots = Array.init n (fun w -> Domains_backend.make_slot ~worker:w);
+      ac =
+        Array.init n (fun _ ->
+            Array.of_list
+              (List.map
+                 (fun (_, cn) ->
+                   Array.map
+                     (fun _ ->
+                       Sched.Adaptive_chunking.create
+                         ~target_polls:cfg.Rt_config.ac_target_polls
+                         ~window:cfg.Rt_config.ac_window ())
+                     cn.Compiled.infos)
+                 compiled.Pipeline.nests));
       promotions = Atomic.make 0;
       promo_left =
         Atomic.make
@@ -712,9 +729,6 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
       promo_disabled = Atomic.make false;
       capture;
       chaos = Sim.Fault_injector.active (Domains_backend.injector b);
-      stall_left = Array.make n 0;
-      since_beat = Array.make n 0;
-      downgraded = Array.make n false;
       downgrades = Atomic.make 0;
       live_slices = (if pausing then Some (Array.make n []) else None);
       next_mark = Stdlib.max_int;
@@ -723,10 +737,9 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
     }
   in
   (match beat with
-  | Wall_us us ->
-      let t0 = Unix.gettimeofday () +. (us *. 1e-6) in
-      Array.iteri (fun i _ -> st.next_beat.(i) <- t0) st.next_beat
-  | Every_polls _ -> ());
+  | Every_polls n -> Array.iter (fun (s : Domains_backend.slot) -> s.poll_beat_at <- n) st.slots
+  | Wall_us _ -> ());
+  let sum f = Array.fold_left (fun acc (s : Domains_backend.slot) -> acc + f s) 0 st.slots in
   (* Observational state at a pause boundary. Every field is a pure
      function of the single-worker deterministic dispatch history, so an
      uninterrupted replay reaching the same boundary re-derives the same
@@ -753,11 +766,11 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
       episode;
       rng_state = Int64.of_int (Domains_backend.rng_word b ~worker:0);
       next_task_id = C.next_task_id core;
-      work_cycles = Array.fold_left ( + ) 0 st.work;
+      work_cycles = sum (fun s -> s.work);
       promotions_used = Atomic.get st.promotions;
       granted;
       regrants;
-      clocks = Array.copy st.progress;
+      clocks = Array.map (fun (s : Domains_backend.slot) -> s.progress) st.slots;
       deques = Array.init n (fun w -> Domains_backend.deque_task_ids b ~worker:w);
       slices;
     }
@@ -834,7 +847,7 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
         incr ticks;
         if !ticks mod sample_every = 0 then
           for w = 0 to n - 1 do
-            let p = st.progress.(w) in
+            let p = st.slots.(w).progress in
             if Domains_backend.is_busy b ~worker:w && p = last.(w) then begin
               stuck.(w) <- stuck.(w) + 1;
               if stuck.(w) = stuck_after && not (Atomic.get st.promo_disabled) then begin
@@ -850,7 +863,9 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
     end
   in
   Domains_backend.register ~worker:0;
-  Domains_backend.start_monitor ~tick b;
+  Domains_backend.start_monitor ~tick
+    ?beat:(match beat with Wall_us us -> Some (us, st.slots) | Every_polls _ -> None)
+    b;
   let domains =
     List.init (n - 1) (fun i ->
         Domain.spawn (fun () ->
@@ -891,7 +906,7 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
                  driver_segment_ends ();
                  exec_nest st compiled env nest;
                  mark := Domains_backend.now b);
-             advance = (fun cyc -> add_work st cyc);
+             advance = add_work st.slots.(0);
            }
          in
          program.Ir.Program.driver env cpu;
@@ -926,7 +941,18 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
   | _ -> ());
   let elapsed_us = int_of_float ((Unix.gettimeofday () -. t_start) *. 1e6) in
   let metrics = Sim.Metrics.create () in
-  metrics.Sim.Metrics.work_cycles <- Array.fold_left ( + ) 0 st.work;
+  metrics.Sim.Metrics.work_cycles <- sum (fun s -> s.work);
+  (* Beat counters, each field with one writer (see [Domains_backend.slot]);
+     read after every domain, the monitor included, has been joined.
+     [Every_polls] beats are generated where they are detected. *)
+  metrics.Sim.Metrics.polls <- sum (fun s -> s.polls);
+  metrics.Sim.Metrics.heartbeats_detected <- sum (fun s -> s.detected);
+  (match beat with
+  | Wall_us _ ->
+      metrics.Sim.Metrics.heartbeats_generated <- sum (fun s -> s.generated);
+      metrics.Sim.Metrics.heartbeats_missed <- sum (fun s -> s.missed)
+  | Every_polls _ ->
+      metrics.Sim.Metrics.heartbeats_generated <- metrics.Sim.Metrics.heartbeats_detected);
   metrics.Sim.Metrics.promotions <- Atomic.get st.promotions;
   metrics.Sim.Metrics.faults_beats_dropped <- Atomic.get f_drops;
   metrics.Sim.Metrics.faults_steals_failed <- Atomic.get f_steals;

@@ -39,7 +39,16 @@ exception Internal_error of string
 
 (** When a native worker observes a heartbeat. *)
 type beat_source =
-  | Wall_us of float  (** interval timer, microseconds (the paper's mechanism) *)
+  | Wall_us of float
+      (** interval timer, microseconds (the paper's mechanism). The
+          monitor domain is the beat source at every P, one worker
+          included — the paper's ping thread: it wakes every
+          [min us 200] µs, reads the clock once, and sets the beat flag
+          of each busy worker whose period has elapsed. A poll reads and
+          clears the worker's own flag in its padded per-worker record;
+          a flag overwritten before it was consumed counts as a missed
+          beat. The real beat period is therefore at least the
+          monitor's sleep granularity. *)
   | Every_polls of int
       (** deterministic poll-count proxy: a beat every [n] leaf polls on a
           worker. With one worker the schedule is fully reproducible —
@@ -61,10 +70,14 @@ val run_program :
     The result reuses the simulator's record: [makespan] is wall-clock
     microseconds (comparable only between native runs), [work_cycles]
     and [metrics.work_cycles] sum the per-worker body work,
-    [metrics.promotions] counts splits, the [metrics.faults_*] counters
-    count injected chaos events ([faults_stall_cycles] carries the
-    poll-counted stall total) and [metrics.downgrades] the watchdog
-    trips; other counters stay 0.
+    [metrics.promotions] counts splits, [metrics.polls] the leaf polls,
+    [metrics.heartbeats_detected] the beats workers consumed, and
+    [metrics.heartbeats_generated]/[heartbeats_missed] the beats the
+    monitor delivered/overwrote (under [Every_polls] every beat is
+    generated where it is detected, and none is missed). The
+    [metrics.faults_*] counters count injected chaos events
+    ([faults_stall_cycles] carries the poll-counted stall total) and
+    [metrics.downgrades] the watchdog trips; other counters stay 0.
 
     @raise Invalid_argument naming the offending feature when the fault
     plan has simulator-only kinds ({!Sim.Fault_plan.simulator_only}), or

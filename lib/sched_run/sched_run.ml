@@ -37,3 +37,24 @@ let run ?(request = Hbc_core.Run_request.default) ?backend ?beat engine
       invalid_arg
         "Sched_run.run: the OpenMP-model baselines are virtual-time simulations; run them on the \
          sim backend"
+
+(* Only the heartbeat engines run on domains; everything else, the
+   sequential reference included, counts virtual cycles. *)
+let makespan_in_wall_us backend engine =
+  match (backend, engine) with
+  | Sched.Policy.Domains, (Hbc _ | Tpal _) -> true
+  | Sched.Policy.Domains, (Serial | Openmp _ | Hybrid _) | Sched.Policy.Sim, _ -> false
+
+let makespan_lines ~backend engine (r : Sim.Run_result.t) ~wall_us ~workers =
+  let line label value = Printf.sprintf "%-17s: %s" label value in
+  if makespan_in_wall_us backend engine then
+    [
+      line "makespan"
+        (Printf.sprintf "%d us wall on %d domains" r.Sim.Run_result.makespan workers);
+    ]
+  else
+    [
+      line "makespan"
+        (Printf.sprintf "%d cycles (simulated serial reference)" r.Sim.Run_result.makespan);
+      line "wall" (Printf.sprintf "%d us measured around Sched_run.run" wall_us);
+    ]

@@ -44,3 +44,21 @@ val run :
     kinds ({!Sim.Fault_plan.simulator_only}) on [Domains] — portable
     plans inject natively; and pause/resume on [Domains] without a
     deterministic [Every_polls] beat and a single worker. *)
+
+val makespan_in_wall_us : Sched.Policy.backend_kind -> engine -> bool
+(** Whether [Run_result.makespan] of this combination is wall-clock
+    microseconds (the heartbeat engines on [Domains]) rather than
+    virtual cycles (every [Sim] run, and [Serial] on either backend —
+    the sequential reference is a cycle-counting simulation). *)
+
+val makespan_lines :
+  backend:Sched.Policy.backend_kind ->
+  engine ->
+  Sim.Run_result.t ->
+  wall_us:int ->
+  workers:int ->
+  string list
+(** The CLI's makespan report for a domains-backend run, one string per
+    line, in the unit {!makespan_in_wall_us} says. A cycle makespan is
+    labelled as the simulated serial reference and followed by [wall_us],
+    the wall time the caller measured around {!run}. *)

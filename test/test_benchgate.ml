@@ -2,7 +2,8 @@
 
 open Benchgate
 
-let metric ?(kind = Report.Deterministic) name value = { Report.metric = name; value; kind }
+let metric ?(kind = Report.Deterministic) ?(polarity = Report.Cost) name value =
+  { Report.metric = name; value; kind; polarity }
 
 let probe name metrics = { Report.probe = name; metrics }
 
@@ -12,7 +13,13 @@ let base () =
   sample_report
     [
       probe "micro/a" [ metric "cycles" 100.; metric ~kind:Report.Advisory "wall_ns" 5000. ];
-      probe "macro/b" [ metric "promotions" 40.; metric "steals" 8. ];
+      probe "macro/b"
+        [
+          metric "promotions" 40.;
+          metric "steals" 8.;
+          metric ~polarity:Report.Benefit "goodput" 0.5;
+          metric ~polarity:Report.Exact "ops" 64.;
+        ];
     ]
 
 (* ------------------------------- codec ---------------------------- *)
@@ -28,6 +35,7 @@ let test_roundtrip () =
   let m = Option.get (Report.find_metric p "cycles") in
   Alcotest.(check (float 0.0)) "value" 100. m.Report.value;
   Alcotest.(check bool) "kind" true (m.Report.kind = Report.Deterministic);
+  Alcotest.(check bool) "polarity" true (m.Report.polarity = Report.Cost);
   let adv = Option.get (Report.find_metric p "wall_ns") in
   Alcotest.(check bool) "adv kind" true (adv.Report.kind = Report.Advisory)
 
@@ -38,11 +46,21 @@ let test_roundtrip_bytes () =
 
 let test_malformed () =
   Alcotest.check_raises "wrong schema"
-    (Report.Malformed "unsupported report schema 999 (this build reads 1)") (fun () ->
+    (Report.Malformed "unsupported report schema 999 (this build reads 2)") (fun () ->
       ignore (Report.of_string {|{"schema": 999, "label": "x", "notes": {}, "probes": []}|}));
-  (match Report.of_string {|{"schema": 1, "label": "x", "notes": {}, "probes": [{"probe": "p", "metrics": [{"metric": "m", "value": 1, "kind": "bogus"}]}]}|} with
+  (* schema 1 had no polarities: reading one would mean guessing them *)
+  Alcotest.check_raises "schema 1"
+    (Report.Malformed "unsupported report schema 1 (this build reads 2)") (fun () ->
+      ignore (Report.of_string {|{"schema": 1, "label": "x", "notes": {}, "probes": []}|}));
+  (match Report.of_string {|{"schema": 2, "label": "x", "notes": {}, "probes": [{"probe": "p", "metrics": [{"metric": "m", "value": 1, "kind": "bogus", "polarity": "cost"}]}]}|} with
   | exception Report.Malformed _ -> ()
   | _ -> Alcotest.fail "bad kind tag accepted");
+  (match Report.of_string {|{"schema": 2, "label": "x", "notes": {}, "probes": [{"probe": "p", "metrics": [{"metric": "m", "value": 1, "kind": "det", "polarity": "sideways"}]}]}|} with
+  | exception Report.Malformed _ -> ()
+  | _ -> Alcotest.fail "bad polarity tag accepted");
+  (match Report.of_string {|{"schema": 2, "label": "x", "notes": {}, "probes": [{"probe": "p", "metrics": [{"metric": "m", "value": 1, "kind": "det"}]}]}|} with
+  | exception Report.Malformed _ -> ()
+  | _ -> Alcotest.fail "missing polarity accepted");
   match Report.of_string "{nope" with
   | exception Obs.Json.Parse_error _ -> ()
   | _ -> Alcotest.fail "syntax error accepted"
@@ -146,6 +164,81 @@ let test_render_mentions_regression () =
   Alcotest.(check bool) "names probe" true (has "p");
   Alcotest.(check bool) "says FAIL" true (has "FAIL")
 
+(* One test per polarity. A cost fails on growth only; a benefit fails on
+   a drop only (leaving a zero baseline is an improvement); an exact
+   metric fails on any change, however small. *)
+let verdict_of old_m new_m =
+  snd (diff (sample_report [ probe "p" [ old_m ] ]) (sample_report [ probe "p" [ new_m ] ]))
+
+let test_diff_cost () =
+  let c = metric "c" in
+  Alcotest.(check bool) "growth fails" true (verdict_of (c 100.) (c 110.) = Diff.Fail);
+  Alcotest.(check bool) "drop passes" true (verdict_of (c 100.) (c 50.) = Diff.Pass);
+  Alcotest.(check bool) "to zero passes" true (verdict_of (c 100.) (c 0.) = Diff.Pass)
+
+let test_diff_benefit () =
+  let b = metric ~polarity:Report.Benefit "goodput" in
+  Alcotest.(check bool) "drop fails" true (verdict_of (b 100.) (b 90.) = Diff.Fail);
+  Alcotest.(check bool) "to zero fails" true (verdict_of (b 0.25) (b 0.) = Diff.Fail);
+  Alcotest.(check bool) "1% drop passes a 2% gate" true (verdict_of (b 100.) (b 99.) = Diff.Pass);
+  let lines, v =
+    diff (sample_report [ probe "p" [ b 100. ] ]) (sample_report [ probe "p" [ b 150. ] ])
+  in
+  Alcotest.(check bool) "growth improves" true
+    (v = Diff.Pass && statuses lines = [ Diff.Improved ]);
+  Alcotest.(check bool) "leaving zero improves" true (verdict_of (b 0.) (b 3.) = Diff.Pass)
+
+let test_diff_exact () =
+  let e = metric ~polarity:Report.Exact "ops" in
+  Alcotest.(check bool) "unchanged passes" true (verdict_of (e 7.) (e 7.) = Diff.Pass);
+  Alcotest.(check bool) "up fails" true (verdict_of (e 1000.) (e 1001.) = Diff.Fail);
+  Alcotest.(check bool) "down fails" true (verdict_of (e 1000.) (e 999.) = Diff.Fail);
+  Alcotest.(check bool) "1 -> 0 fails" true (verdict_of (e 1.) (e 0.) = Diff.Fail)
+
+(* The committed baseline's own polarities catch the two falls the cost-only
+   gate scored as improvements: a checkpoint resume that stops being
+   identical, and a server that completes nothing. *)
+let test_diff_baseline_falls () =
+  (* dune runtest runs in _build/default/test; a direct run, at the root *)
+  let base =
+    Report.read_file (List.find Sys.file_exists [ "../bench/baseline.json"; "bench/baseline.json" ])
+  in
+  let set probe_name metric_name v (r : Report.t) =
+    {
+      r with
+      Report.probes =
+        List.map
+          (fun (p : Report.probe) ->
+            if p.Report.probe <> probe_name then p
+            else
+              {
+                p with
+                Report.metrics =
+                  List.map
+                    (fun (m : Report.metric) ->
+                      if m.Report.metric = metric_name then { m with Report.value = v } else m)
+                    p.Report.metrics;
+              })
+          r.Report.probes;
+    }
+  in
+  let check what cand =
+    let lines, v = diff base cand in
+    Alcotest.(check bool) (what ^ " fails") true (v = Diff.Fail);
+    Alcotest.(check int) (what ^ " regressed lines") 1
+      (List.length (List.filter (fun l -> l.Diff.status = Diff.Regressed) lines))
+  in
+  check "identical 1 -> 0" (set "micro/checkpoint-capture" "identical" 0. base);
+  check "goodput -> 0" (set "serve/steady-tail" "goodput" 0. base);
+  check "completed -> 0" (set "serve/steady-tail" "completed" 0. base);
+  let p = Option.get (Report.find_probe base "micro/domains-dispatch") in
+  List.iter
+    (fun name ->
+      let m = Option.get (Report.find_metric p name) in
+      Alcotest.(check bool) (name ^ " is exact") true (m.Report.polarity = Report.Exact);
+      check (name ^ " +1") (set "micro/domains-dispatch" name (m.Report.value +. 1.) base))
+    [ "promotions"; "work_cycles" ]
+
 (* ----------------------------- suite ------------------------------ *)
 
 (* The acceptance property of the whole subsystem: running the suite twice
@@ -203,6 +296,11 @@ let suite =
     Alcotest.test_case "diff: advisory warns only" `Quick test_diff_advisory_warns_only;
     Alcotest.test_case "diff: metric-set skew warns only" `Quick test_diff_skew;
     Alcotest.test_case "diff: render names regressions" `Quick test_render_mentions_regression;
+    Alcotest.test_case "diff: cost fails on growth only" `Quick test_diff_cost;
+    Alcotest.test_case "diff: benefit fails on a drop only" `Quick test_diff_benefit;
+    Alcotest.test_case "diff: exact fails on any change" `Quick test_diff_exact;
+    Alcotest.test_case "diff: baseline catches benefit and exact falls" `Quick
+      test_diff_baseline_falls;
     Alcotest.test_case "suite: deterministic metrics stable" `Slow test_suite_deterministic;
     Alcotest.test_case "suite: probes and metrics present" `Slow test_suite_shape;
   ]

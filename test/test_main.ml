@@ -24,5 +24,6 @@ let () =
       ("sanitizer", Test_sanitizer.suite);
       ("checkpoint", Test_checkpoint.suite);
       ("native_faults", Test_native_faults.suite);
+      ("native_beats", Test_native_beats.suite);
       ("server", Test_server.suite);
     ]

@@ -140,23 +140,36 @@ let chaos_never_changes_results () =
         (Sim.Metrics.faults_injected r.Sim.Run_result.metrics > 0))
     [ 1; 2; 4 ]
 
+(* A program that runs long enough (several milliseconds) for a 1 ms
+   wall-clock beat to reach every busy worker more than once. *)
+let long_prog () =
+  let (Ir.Program.Any p) = (Workloads.Registry.find "mandelbrot").Workloads.Registry.make 0.05 in
+  Ir.Program.Any p
+
 (* Every wakeup suppressed: progress then rests entirely on the monitor's
-   bounded park timeout. The run must still finish, correctly. *)
+   bounded park timeout. The run must still finish, correctly — under the
+   deterministic beat and under a 1 ms wall beat, since the 200 us
+   backstop keeps its own cadence whatever the beat period. *)
 let suppressed_wakeups_still_finish () =
-  let seq = serial () in
   let plan =
     { Sim.Fault_plan.none with Sim.Fault_plan.seed = 3; delay_wakeup_prob = 1.0 }
   in
   let request = Hbc_core.Run_request.make ~fault_plan:plan () in
   let r = run_native ~request 4 in
   check_bool "all-wakeups-suppressed run matches serial" true
-    (Sim.Run_result.fingerprints_close seq r)
+    (Sim.Run_result.fingerprints_close (serial ()) r);
+  let (Ir.Program.Any p) = long_prog () in
+  let r =
+    Hb_parallel.Native_run.run ~request ~beat:(Hb_parallel.Native_run.Wall_us 1000.0) (cfg 4) p
+  in
+  check_bool "same under a 1 ms wall beat" true
+    (Sim.Run_result.fingerprints_close (Baselines.Serial_exec.run_program p) r)
 
-(* Dense stalls with a hair-trigger watchdog: rung 1 must fire (polling
-   downgrade, visible as Mechanism_downgrade and counted in metrics) and
-   the run must still produce the serial answer. *)
+(* Dense stalls with a hair-trigger watchdog: the watchdog must fire
+   (visible as Mechanism_downgrade and counted in metrics) and the run
+   must still produce the serial answer — under the deterministic beat and
+   under a 1 ms wall beat, whose beats come from the monitor. *)
 let watchdog_downgrades_under_stalls () =
-  let seq = serial () in
   let plan =
     {
       Sim.Fault_plan.none with
@@ -165,18 +178,22 @@ let watchdog_downgrades_under_stalls () =
       stall_polls = 64;
     }
   in
-  let sink = Obs.Trace.Sink.stream ~keep:(function
-    | Obs.Trace.Mechanism_downgrade -> true
-    | _ -> false) ()
+  let check ~what beat (Ir.Program.Any p) =
+    let sink = Obs.Trace.Sink.stream ~keep:(function
+      | Obs.Trace.Mechanism_downgrade -> true
+      | _ -> false) ()
+    in
+    let cfg = { (cfg 2) with Hbc_core.Rt_config.watchdog_k = 2 } in
+    let request = Hbc_core.Run_request.make ~fault_plan:plan ~trace:sink () in
+    let r = Hb_parallel.Native_run.run ~request ~beat cfg p in
+    check_bool ("watchdog tripped, " ^ what) true
+      (Sim.Metrics.downgrade_count r.Sim.Run_result.metrics > 0);
+    check_bool ("downgrade visible in the trace, " ^ what) true (r.Sim.Run_result.trace <> []);
+    check_bool ("downgraded run still correct, " ^ what) true
+      (Sim.Run_result.fingerprints_close (Baselines.Serial_exec.run_program p) r)
   in
-  let cfg = { (cfg 2) with Hbc_core.Rt_config.watchdog_k = 2 } in
-  let request = Hbc_core.Run_request.make ~fault_plan:plan ~trace:sink () in
-  let r =
-    Hb_parallel.Native_run.run ~request ~beat:(Hb_parallel.Native_run.Every_polls 8) cfg (prog ())
-  in
-  check_bool "watchdog tripped" true (Sim.Metrics.downgrade_count r.Sim.Run_result.metrics > 0);
-  check_bool "downgrade visible in the trace" true (r.Sim.Run_result.trace <> []);
-  check_bool "downgraded run still correct" true (Sim.Run_result.fingerprints_close seq r)
+  check ~what:"poll beat" (Hb_parallel.Native_run.Every_polls 8) (Ir.Program.Any (prog ()));
+  check ~what:"1 ms wall beat" (Hb_parallel.Native_run.Wall_us 1000.0) (long_prog ())
 
 (* ------------------------- pause / resume -------------------------- *)
 

@@ -238,6 +238,33 @@ let facade_dispatch () =
        false
      with Invalid_argument _ -> true)
 
+(* The CLI's native makespan report names its unit: the sequential
+   reference on domains is a simulated cycle count, labelled as such and
+   paired with the wall time measured around the call; a heartbeat run's
+   makespan is wall microseconds. *)
+let facade_makespan_labels () =
+  let p = Test_runtime.make_irregular ~rows:60 ~max_size:8 ~seed:3 in
+  let dom = Sched.Policy.Domains in
+  let seq = Sched_run.run ~backend:dom Sched_run.Serial p in
+  check_bool "seq on domains counts cycles" false
+    (Sched_run.makespan_in_wall_us dom Sched_run.Serial);
+  check_bool "hbc on domains is wall time" true (Sched_run.makespan_in_wall_us dom Sched_run.hbc);
+  check_bool "hbc on sim counts cycles" false
+    (Sched_run.makespan_in_wall_us Sched.Policy.Sim Sched_run.hbc);
+  Alcotest.(check (list string))
+    "serial labels"
+    [
+      Printf.sprintf "makespan         : %d cycles (simulated serial reference)"
+        seq.Sim.Run_result.makespan;
+      "wall             : 1234 us measured around Sched_run.run";
+    ]
+    (Sched_run.makespan_lines ~backend:dom Sched_run.Serial seq ~wall_us:1234 ~workers:2);
+  let hbc = Sched_run.run ~backend:dom ~beat:(Hb_parallel.Native_run.Every_polls 16) Sched_run.hbc p in
+  Alcotest.(check (list string))
+    "hbc label"
+    [ Printf.sprintf "makespan         : %d us wall on 2 domains" hbc.Sim.Run_result.makespan ]
+    (Sched_run.makespan_lines ~backend:dom Sched_run.hbc hbc ~wall_us:1 ~workers:2)
+
 let request_signature_keyed_by_backend () =
   let sim = Hbc_core.Run_request.make () in
   let dom = Hbc_core.Run_request.make ~backend:Sched.Policy.Domains () in
@@ -259,5 +286,6 @@ let suite =
     Alcotest.test_case "parity: registry workloads, P=1,2,4" `Slow parity_registry;
     Alcotest.test_case "native trace: sanitizer clean" `Slow native_trace_sanitizer_clean;
     Alcotest.test_case "facade: dispatch and guards" `Quick facade_dispatch;
+    Alcotest.test_case "facade: makespan unit labels" `Quick facade_makespan_labels;
     Alcotest.test_case "request: backend in signature" `Quick request_signature_keyed_by_backend;
   ]
