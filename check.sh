@@ -47,6 +47,10 @@ echo "check.sh: sanitizer + fuzz smoke OK"
 # the sequential fingerprint (exit 4 on mismatch) and its linearized trace
 # must satisfy the full sanitizer invariant set (exit 3 on violation) ---
 "$REPRO" run spmv-powerlaw --scale 0.05 --backend domains -e hbc -w 2 --sanitize > /dev/null
+# The same at the benchmark's native-fine input size: its trace holds
+# ~200k records, so a sanitizer whose per-record cost grows with the trace
+# blows the 60 s limit (exit 124) instead of passing in about a second.
+timeout 60 "$REPRO" run spmv-powerlaw --scale 0.5 --backend domains -w 2 --sanitize > /dev/null
 echo "check.sh: native domains smoke OK"
 
 # --- native chaos smoke test: portable fault kinds inject on real domains

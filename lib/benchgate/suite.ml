@@ -199,6 +199,44 @@ let micro_native_untraced_overhead () =
       Probe.deti ctx "vetoes" !vetoes;
       Probe.deti ctx "hot_path_alloc_words" hot_words)
 
+(* The sanitizer's work-conservation bookkeeping on a fixed synthetic
+   trace of 8192 [Iter_exec] records over two slices of 4096 iterations.
+   The first is tiled by in-order unit chunks, so each record extends one
+   covered run. The second interleaves 64 streams round-robin, stream [s]
+   walking the 64-iteration block at stride offset [64 * s] in order, so
+   64 runs grow side by side. [alloc_minor_words] prices a record: a
+   coverage structure that rebuilds per record grows quadratically here. *)
+let micro_sanitizer_coverage () =
+  Probe.run ~name:"micro/sanitizer-coverage" (fun ctx ->
+      let san =
+        Sanitizer.Checker.create (Sanitizer.Checker.config_of_rt Hbc_core.Rt_config.default)
+      in
+      let sink = Sanitizer.Checker.sink san in
+      let n = 4096 and streams = 64 in
+      let block = n / streams in
+      let time = ref 0 in
+      let exec ~key ~lo =
+        incr time;
+        Obs.Trace.Sink.emit sink ~time:!time ~worker:(lo land 7)
+          (Obs.Trace.Iter_exec { nest = 0; ord = 0; key; lo; hi = lo + 1 })
+      in
+      List.iter
+        (fun key ->
+          Obs.Trace.Sink.emit sink ~time:0 ~worker:0
+            (Obs.Trace.Slice_enter { nest = 0; ord = 0; key; lo = 0; hi = n }))
+        [ 0; 1 ];
+      for lo = 0 to n - 1 do
+        exec ~key:0 ~lo
+      done;
+      for r = 0 to block - 1 do
+        for s = 0 to streams - 1 do
+          exec ~key:1 ~lo:((s * block) + r)
+        done
+      done;
+      Sanitizer.Checker.finish san;
+      Probe.deti ~polarity:Report.Exact ctx "records" (Sanitizer.Checker.records_seen san);
+      Probe.deti ctx "violations" (Sanitizer.Checker.violation_count san))
+
 let micro () =
   [
     micro_deque ();
@@ -210,6 +248,7 @@ let micro () =
     micro_checkpoint_capture ();
     micro_domains_dispatch ();
     micro_native_untraced_overhead ();
+    micro_sanitizer_coverage ();
   ]
 
 (* --------------------------- macro probes ------------------------- *)

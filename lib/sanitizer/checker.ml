@@ -33,9 +33,12 @@ type config = { policy : Hbc_core.Rt_config.promotion_policy; ac_target_polls : 
 let config_of_rt (cfg : Hbc_core.Rt_config.t) =
   { policy = cfg.Hbc_core.Rt_config.policy; ac_target_polls = cfg.Hbc_core.Rt_config.ac_target_polls }
 
-(* Per-invocation coverage: [covered] is a sorted list of disjoint
-   executed intervals inside [s_lo, s_hi). *)
-type slice_state = { s_lo : int; s_hi : int; mutable covered : (int * int) list }
+module IM = Map.Make (Int)
+
+(* Per-invocation coverage: [covered] maps each executed run's [lo] to its
+   [hi]. Runs are disjoint, inside [s_lo, s_hi), and coalesced: no run ends
+   where the next begins, so an in-order tiling stays a single binding. *)
+type slice_state = { s_lo : int; s_hi : int; mutable covered : int IM.t }
 
 (* Task lifecycle replayed from the deque records. *)
 type task_phase = Pushed | Taken | Executed
@@ -56,9 +59,15 @@ type job_phase =
 type t = {
   cfg : config;
   strict : bool;
-  window_cap : int;
   max_violations : int;
-  window : Obs.Trace.record Queue.t;
+  (* The violation window: the last records as a ring of slots indexed by
+     [seq] modulo its length, turned into records only when a violation
+     copies it out. A linked queue of records would not do: each push
+     writes into the previous cell, so once one cell reaches the major heap
+     every later record is promoted after it. *)
+  win_time : int array;
+  win_worker : int array;
+  win_event : Obs.Trace.event array;
   mutable seq : int;
   mutable records : int;
   mutable last_time : int;
@@ -74,12 +83,14 @@ type t = {
 }
 
 let create ?(strict = false) ?(window = 32) ?(max_violations = 100) cfg =
+  let window = Stdlib.max 1 window in
   {
     cfg;
     strict;
-    window_cap = Stdlib.max 1 window;
     max_violations;
-    window = Queue.create ();
+    win_time = Array.make window 0;
+    win_worker = Array.make window 0;
+    win_event = Array.make window Obs.Trace.Poll;
     seq = 0;
     records = 0;
     last_time = 0;
@@ -94,8 +105,17 @@ let create ?(strict = false) ?(window = 32) ?(max_violations = 100) cfg =
     finished = false;
   }
 
+(* The window's records, oldest first, ending at the latest one. *)
+let window_records t =
+  let cap = Array.length t.win_time in
+  let first = Stdlib.max 1 (t.seq - cap + 1) in
+  List.init (t.seq - first + 1) (fun k ->
+      let seq = first + k in
+      let i = seq mod cap in
+      { Obs.Trace.seq; time = t.win_time.(i); worker = t.win_worker.(i); event = t.win_event.(i) })
+
 let violate t ~time ~worker invariant message =
-  let v = { invariant; time; worker; message; window = List.of_seq (Queue.to_seq t.window) } in
+  let v = { invariant; time; worker; message; window = window_records t } in
   t.count <- t.count + 1;
   if List.length t.kept < t.max_violations then t.kept <- v :: t.kept;
   if t.strict then raise (Violation v)
@@ -110,21 +130,27 @@ let shadow_deque t worker =
 
 let phase_name = function Pushed -> "enqueued" | Taken -> "taken" | Executed -> "executed"
 
-(* Insert [lo, hi) into a sorted disjoint interval list, or report the
-   first already-covered interval it overlaps. *)
+(* Insert [lo, hi) into the coverage map, merged with the runs it
+   touches, or report the first covered run it overlaps. Only the
+   predecessor (the last run starting at or before [lo]) and the successor
+   (the first run starting after [lo]) can overlap or touch it: O(log n). *)
 let insert_interval ss ~lo ~hi =
-  let rec go acc = function
-    | [] -> Ok (List.rev_append acc [ (lo, hi) ])
-    | (a, b) :: rest ->
-        if hi <= a then Ok (List.rev_append acc ((lo, hi) :: (a, b) :: rest))
-        else if b <= lo then go ((a, b) :: acc) rest
-        else Error (a, b)
-  in
-  match go [] ss.covered with
-  | Ok l ->
-      ss.covered <- l;
+  let pred = IM.find_last_opt (fun a -> a <= lo) ss.covered in
+  let succ = IM.find_first_opt (fun a -> a > lo) ss.covered in
+  match (pred, succ) with
+  | Some (a, b), _ when lo < b -> Some (a, b)
+  | _, Some (a, b) when a < hi -> Some (a, b)
+  | _ ->
+      (* Merging into the predecessor rebinds its key, so only a merged
+         successor needs removing. *)
+      let lo = match pred with Some (a, b) when b = lo -> a | _ -> lo in
+      let hi, m =
+        match succ with
+        | Some (a, b) when a = hi -> (b, IM.remove a ss.covered)
+        | _ -> (hi, ss.covered)
+      in
+      ss.covered <- IM.add lo hi m;
       None
-  | Error ab -> Some ab
 
 let on_slice_enter t ~time ~worker ~nest ~ord ~key ~lo ~hi =
   let k = (nest, ord, key) in
@@ -132,7 +158,7 @@ let on_slice_enter t ~time ~worker ~nest ~ord ~key ~lo ~hi =
   | Some _ ->
       violate t ~time ~worker Work_conservation
         (Printf.sprintf "slice invocation (nest %d, loop %d, key %d) entered twice" nest ord key)
-  | None -> Hashtbl.add t.slices k { s_lo = lo; s_hi = hi; covered = [] }
+  | None -> Hashtbl.add t.slices k { s_lo = lo; s_hi = hi; covered = IM.empty }
 
 let on_iter_exec t ~time ~worker ~nest ~ord ~key ~lo ~hi =
   let k = (nest, ord, key) in
@@ -401,9 +427,10 @@ let on_interval t ~time ~worker ~t0 =
 let on_event t ~time ~worker (ev : Obs.Trace.event) =
   t.seq <- t.seq + 1;
   t.records <- t.records + 1;
-  let record = { Obs.Trace.seq = t.seq; time; worker; event = ev } in
-  if Queue.length t.window >= t.window_cap then ignore (Queue.pop t.window);
-  Queue.push record t.window;
+  let i = t.seq mod Array.length t.win_time in
+  t.win_time.(i) <- time;
+  t.win_worker.(i) <- worker;
+  t.win_event.(i) <- ev;
   (* The engine dispatches fibers in global nondecreasing virtual-time
      order, so every emission — any worker, any source — must carry a
      time >= the previous one. *)
@@ -451,7 +478,6 @@ let finish t =
     let slices = List.sort compare slices in
     List.iter
       (fun ((nest, ord, key), ss) ->
-        let covered = List.sort compare ss.covered in
         let rec gaps pos = function
           | [] -> if pos < ss.s_hi then [ (pos, ss.s_hi) ] else []
           | (a, b) :: rest -> if pos < a then (pos, a) :: gaps b rest else gaps b rest
@@ -461,7 +487,7 @@ let finish t =
             violate t ~time ~worker Work_conservation
               (Printf.sprintf "iterations [%d, %d) of (nest %d, loop %d, key %d) never executed" a
                  b nest ord key))
-          (gaps ss.s_lo covered))
+          (gaps ss.s_lo (IM.bindings ss.covered)))
       slices;
     (* Deque discipline: no task may remain unexecuted. *)
     let tasks = Hashtbl.fold (fun id p acc -> (id, p) :: acc) t.tasks [] in

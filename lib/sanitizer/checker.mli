@@ -7,8 +7,15 @@
 
     - {b work conservation} (Algorithms 1–2): every iteration of every
       loop-slice invocation executes exactly once, across promotions,
-      steals, leftover tasks, and faults — tracked as interval bookkeeping
-      over [Slice_enter]/[Iter_exec] records;
+      steals, leftover tasks, and faults. Each invocation's covered
+      iterations are a coalesced interval map over its
+      [Slice_enter]/[Iter_exec] records: disjoint runs from [lo] to [hi],
+      adjacent runs merged. A record looks up only its predecessor and
+      successor run and either reports an overlap or inserts, merged with
+      the runs it touches, in O(log n) for n runs; an in-order tiling stays
+      one run. A second execution is reported as "executed twice", naming
+      as the overlap the merged covered run it hit, which may span several
+      earlier chunks;
     - {b deque discipline}: owners push/pop at the bottom, thieves steal at
       the top, and no task is executed twice or lost (a shadow Chase–Lev
       deque per worker replays every [Task_*] record);

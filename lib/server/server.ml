@@ -164,16 +164,16 @@ type exec = {
   x_fp : float option;
   x_mismatch : bool;
   x_preempted : bool;
-  x_violations : Sanitizer.Checker.violation list;
 }
 
 type ev = Arrival of pending | Completion of completion
 and completion = { c_job : pending; c_grant : int; c_service : int; c_exec : exec }
 
-(* Mutable per-job episode state, keyed by job id. The checker persists
-   across episodes: resumed runs mute their replayed prefix, so the sink
-   sees each episode's events exactly once and its work-conservation
-   tiling spans the whole pause/resume history. *)
+(* Mutable per-job episode state, keyed by job id, live from the job's
+   first dispatch to its terminal state. The checker persists across
+   episodes: resumed runs mute their replayed prefix, so the sink sees each
+   episode's events exactly once and its work-conservation tiling spans the
+   whole pause/resume history. *)
 type jctx = {
   mutable episodes : int;  (* completed pause/resume episodes *)
   mutable ck : Sim.Checkpoint_state.t option;
@@ -317,16 +317,13 @@ let run_job cfg serial_cache (p : pending) ~fault_plan ~grant ~checker ~pause_at
         x_fp = None;
         x_mismatch = false;
         x_preempted = false;
-        x_violations =
-          (match checker with Some c -> Sanitizer.Checker.violations c | None -> []);
       }
   | result -> (
       let promotions = result.Sim.Run_result.metrics.Sim.Metrics.promotions in
       match result.Sim.Run_result.termination with
       | Sim.Run_result.Paused ck ->
-          (* Not a terminal state: no verification, no end-of-run tiling
-             check (the persistent checker keeps accumulating), and the
-             violation harvest waits for the terminal episode. *)
+          (* Not a terminal state: no verification and no end-of-run
+             tiling check (the persistent checker keeps accumulating). *)
           {
             x_outcome = None;
             x_pause = Some ck;
@@ -336,7 +333,6 @@ let run_job cfg serial_cache (p : pending) ~fault_plan ~grant ~checker ~pause_at
             x_fp = None;
             x_mismatch = false;
             x_preempted = false;
-            x_violations = [];
           }
       | term ->
           let outcome0 =
@@ -355,19 +351,19 @@ let run_job cfg serial_cache (p : pending) ~fault_plan ~grant ~checker ~pause_at
             in
             not (Sim.Run_result.fingerprints_close seq result)
           in
-          let violations =
+          let violated =
             match checker with
-            | None -> []
+            | None -> false
             | Some c ->
                 (* End-of-run tiling only applies to runs that actually
                    finished: a preempted or aborted job legitimately leaves
                    uncovered iterations behind. *)
                 if term = Sim.Run_result.Finished then Sanitizer.Checker.finish c;
-                Sanitizer.Checker.violations c
+                Sanitizer.Checker.violations c <> []
           in
           let outcome =
             if mismatch then Failed "mismatch"
-            else if violations <> [] then Failed "invariant"
+            else if violated then Failed "invariant"
             else outcome0
           in
           {
@@ -379,7 +375,6 @@ let run_job cfg serial_cache (p : pending) ~fault_plan ~grant ~checker ~pause_at
             x_fp = Some result.Sim.Run_result.fingerprint;
             x_mismatch = mismatch;
             x_preempted = result.Sim.Run_result.dnf;
-            x_violations = violations;
           })
 
 (* ------------------------------------------------------------------ *)
@@ -554,8 +549,19 @@ let run cfg =
     events := ins !events
   in
   List.iter (fun p -> push_event p.submit (Arrival p)) jobs;
+  (* Every terminal state passes through here exactly once: the job's
+     checker violations are harvested (whichever path ended it — a final
+     episode, a queue expiry, a requeue-full cancel or a crash) and its
+     episode state is released. *)
   let finalize (p : pending) ~start_time ~outcome ~granted ~promotions ~service ~work ~fp
       ~mismatch ~episodes =
+    (match Hashtbl.find_opt ctxs p.id with
+    | Some { jchecker = Some c; _ } ->
+        List.iter
+          (fun v -> job_violations := (Some p.id, v) :: !job_violations)
+          (Sanitizer.Checker.violations c)
+    | _ -> ());
+    Hashtbl.remove ctxs p.id;
     let sojourn =
       match outcome with
       | Completed | Deadline_exceeded | Failed _ -> Some (!now - p.submit)
@@ -780,7 +786,6 @@ let run cfg =
         | Completed -> Breaker.record ~probe:p.p_probe breakers.(p.p_tenant) ~now:!now ~ok:true
         | Failed _ -> Breaker.record ~probe:p.p_probe breakers.(p.p_tenant) ~now:!now ~ok:false
         | Deadline_exceeded | Rejected _ -> ());
-        List.iter (fun v -> job_violations := (Some p.id, v) :: !job_violations) x.x_violations;
         let start_time, service_total =
           match cfg.preempt with
           | Cancel -> (Some (!now - c.c_service), Some c.c_service)

@@ -33,8 +33,14 @@
     Every decision is emitted as an {!Obs.Trace} event (and mirrored in a
     textual decision journal for byte-identity tests); with [sanitize] the
     run carries a server-level {!Sanitizer.Checker} proving job, budget
-    and resume conservation plus one per-job checker — persistent across
-    pause/resume episodes — for the scheduler invariants.
+    and resume conservation plus one per-job checker for the scheduler
+    invariants. A job's checker persists across its pause/resume episodes
+    and is released, with the rest of its episode state (checkpoint,
+    grants), at the job's terminal state. That is also where its
+    violations are collected, whichever way the job ended: its final
+    episode, expiry in the queue after a pause, a requeue-full cancel, or
+    a crash. The end-of-run tiling check runs only for a job whose final
+    episode finished.
 
     With [wal = Some path] the decision journal is a write-ahead log:
     every line is flushed to disk before the next decision is taken. The
@@ -165,7 +171,9 @@ type result = {
           checkpoint/resume/finish/breaker/refill — byte-identical across
           equal-seed runs, including WAL-recovered ones *)
   violations : (int option * Sanitizer.Checker.violation) list;
-      (** (job, violation); [None] is the server-level checker *)
+      (** (job, violation); [None] is the server-level checker. Server-level
+          violations come first, then each job's in the order the jobs
+          reached their terminal states. *)
   wal_replayed : int;
       (** committed WAL lines replayed (and byte-verified) before any new
           decision was appended; 0 on a fresh log or without a WAL *)

@@ -184,6 +184,230 @@ let clean_run_zero_violations_and_identical () =
     [ 1; 4; 16 ]
 
 (* ------------------------------------------------------------------ *)
+(* Work-conservation coverage: interval map vs. sorted-list reference. *)
+(* ------------------------------------------------------------------ *)
+
+(* The sorted-list coverage the checker used before its interval map:
+   covered runs kept unmerged in order, each insert walking the list. It is
+   the reference the map must agree with, violation for violation. *)
+let ref_insert covered ~lo ~hi =
+  let rec go acc = function
+    | [] -> Ok (List.rev_append acc [ (lo, hi) ])
+    | (a, b) :: rest ->
+        if hi <= a then Ok (List.rev_append acc ((lo, hi) :: (a, b) :: rest))
+        else if b <= lo then go ((a, b) :: acc) rest
+        else Error (a, b)
+  in
+  go [] covered
+
+(* One coverage case: slice invocations [(key, lo, hi)] (nest 0, loop 0)
+   in increasing key order, and the [Iter_exec] chunks
+   [(slice, lo, hi, worker)] in arrival order; chunk [i] arrives at time
+   [i + 1]. *)
+type cov_case = { cov_slices : (int * int * int) list; cov_chunks : (int * int * int * int) list }
+
+(* The covered run of [l] that contains chunk [(a, b)] once adjacent chunks
+   are coalesced: the range the checker's overlap message names. *)
+let ref_merged_run l (a, b) =
+  let rec runs = function
+    | (a1, b1) :: (a2, b2) :: rest when b1 = a2 -> runs ((a1, b2) :: rest)
+    | r :: rest -> r :: runs rest
+    | [] -> []
+  in
+  List.find (fun (ma, mb) -> ma <= a && b <= mb) (runs l)
+
+(* The reference verdict: [(invariant, time, worker, message)] of every
+   overlap, then the end-of-run gap messages in slice order. *)
+let ref_verdict c =
+  let covered = Array.make (List.length c.cov_slices) [] in
+  let overlaps =
+    List.concat
+      (List.mapi
+         (fun i (s, lo, hi, worker) ->
+           match ref_insert covered.(s) ~lo ~hi with
+           | Ok l ->
+               covered.(s) <- l;
+               []
+           | Error ab ->
+               let a, b = ref_merged_run covered.(s) ab in
+               [
+                 ( "work-conservation",
+                   i + 1,
+                   worker,
+                   Printf.sprintf
+                     "iterations [%d, %d) of (nest 0, loop 0) executed twice (overlap with \
+                      [%d, %d))"
+                     lo hi a b );
+               ])
+         c.cov_chunks)
+  in
+  let gaps =
+    List.concat
+      (List.mapi
+         (fun s (key, s_lo, s_hi) ->
+           let rec go pos = function
+             | [] -> if pos < s_hi then [ (pos, s_hi) ] else []
+             | (a, b) :: rest -> if pos < a then (pos, a) :: go b rest else go b rest
+           in
+           List.map
+             (fun (a, b) ->
+               Printf.sprintf "iterations [%d, %d) of (nest 0, loop 0, key %d) never executed" a
+                 b key)
+             (go s_lo covered.(s)))
+         c.cov_slices)
+  in
+  (overlaps, gaps)
+
+let checker_verdict c =
+  let san =
+    Sanitizer.Checker.create ~max_violations:max_int
+      (Sanitizer.Checker.config_of_rt Hbc_core.Rt_config.default)
+  in
+  let sink = Sanitizer.Checker.sink san in
+  List.iter
+    (fun (key, lo, hi) ->
+      emit sink ~time:0 ~worker:0 (Obs.Trace.Slice_enter { nest = 0; ord = 0; key; lo; hi }))
+    c.cov_slices;
+  List.iteri
+    (fun i (s, lo, hi, worker) ->
+      let key, _, _ = List.nth c.cov_slices s in
+      emit sink ~time:(i + 1) ~worker (Obs.Trace.Iter_exec { nest = 0; ord = 0; key; lo; hi }))
+    c.cov_chunks;
+  Sanitizer.Checker.finish san;
+  let vs = Sanitizer.Checker.violations san in
+  let during, at_end =
+    List.partition (fun (v : Sanitizer.Checker.violation) -> v.Sanitizer.Checker.worker >= 0) vs
+  in
+  ( List.map
+      (fun (v : Sanitizer.Checker.violation) ->
+        ( Sanitizer.Checker.invariant_name v.Sanitizer.Checker.invariant,
+          v.Sanitizer.Checker.time,
+          v.Sanitizer.Checker.worker,
+          v.Sanitizer.Checker.message ))
+      during,
+    List.map (fun (v : Sanitizer.Checker.violation) -> v.Sanitizer.Checker.message) at_end )
+
+(* Per-slice chunk streams: a random tiling of [lo, hi), then one of four
+   perturbations — shuffled; one chunk duplicated or overlapped; one chunk
+   dropped; adjacent chunks swapped. Slices interleave at random. *)
+let cov_case_gen st =
+  let int n = Random.State.int st n in
+  let shuffle l =
+    List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+  in
+  let insert_anywhere x l =
+    let k = int (List.length l + 1) in
+    List.filteri (fun i _ -> i < k) l @ (x :: List.filteri (fun i _ -> i >= k) l)
+  in
+  let slice_stream s_lo s_hi =
+    let rec tile pos =
+      if pos >= s_hi then []
+      else
+        let hi = Stdlib.min s_hi (pos + 1 + int 6) in
+        (pos, hi) :: tile hi
+    in
+    let tiling = tile s_lo in
+    let n = List.length tiling in
+    match int 4 with
+    | 0 -> shuffle tiling
+    | 1 ->
+        let a, b = List.nth tiling (int n) in
+        let extra =
+          if int 2 = 0 then (a, b)
+          else
+            let x = s_lo + int (b - s_lo) in
+            let y = Stdlib.max (x + 1) (a + 1) in
+            (x, y + int (s_hi - y + 1))
+        in
+        insert_anywhere extra (if int 2 = 0 then tiling else shuffle tiling)
+    | 2 ->
+        let k = int n in
+        let rest = List.filteri (fun i _ -> i <> k) tiling in
+        if int 2 = 0 then rest else shuffle rest
+    | _ ->
+        let rec swap = function
+          | x :: y :: rest when int 3 = 0 -> y :: x :: swap rest
+          | x :: rest -> x :: swap rest
+          | [] -> []
+        in
+        swap tiling
+  in
+  let nslices = 1 + int 3 in
+  let slices =
+    List.init nslices (fun i ->
+        let lo = int 20 in
+        ((7 * i) + int 5, lo, lo + 1 + int 60))
+  in
+  let streams = Array.of_list (List.map (fun (_, lo, hi) -> slice_stream lo hi) slices) in
+  let rec merge acc =
+    let live = List.filter (fun s -> streams.(s) <> []) (List.init nslices Fun.id) in
+    match live with
+    | [] -> List.rev acc
+    | _ -> (
+        let s = List.nth live (int (List.length live)) in
+        match streams.(s) with
+        | (lo, hi) :: rest ->
+            streams.(s) <- rest;
+            merge ((s, lo, hi, int 4) :: acc)
+        | [] -> assert false)
+  in
+  { cov_slices = slices; cov_chunks = merge [] }
+
+let print_cov_case c =
+  Printf.sprintf "slices=[%s] chunks=[%s]"
+    (String.concat "; "
+       (List.map (fun (k, lo, hi) -> Printf.sprintf "k%d:[%d,%d)" k lo hi) c.cov_slices))
+    (String.concat "; "
+       (List.map
+          (fun (s, lo, hi, w) -> Printf.sprintf "s%d:[%d,%d)@w%d" s lo hi w)
+          c.cov_chunks))
+
+let coverage_matches_reference =
+  QCheck.Test.make ~name:"coverage map = sorted-list reference" ~count:500
+    (QCheck.make ~print:print_cov_case cov_case_gen)
+    (fun c -> checker_verdict c = ref_verdict c)
+
+(* A violation carries the records leading up to it, oldest first and
+   ending at the offender: all of them while fewer than the window have
+   passed, then only the latest. *)
+let violation_window_keeps_latest_records () =
+  let san =
+    Sanitizer.Checker.create ~window:4
+      (Sanitizer.Checker.config_of_rt Hbc_core.Rt_config.default)
+  in
+  let sink = Sanitizer.Checker.sink san in
+  let exec ~time ~worker ~key lo =
+    emit sink ~time ~worker (Obs.Trace.Iter_exec { nest = 0; ord = 0; key; lo; hi = lo + 1 })
+  in
+  exec ~time:0 ~worker:1 ~key:9 0;
+  emit sink ~time:0 ~worker:0
+    (Obs.Trace.Slice_enter { nest = 0; ord = 0; key = 0; lo = 0; hi = 8 });
+  for i = 0 to 7 do
+    exec ~time:(i + 1) ~worker:(i mod 3) ~key:0 i
+  done;
+  exec ~time:9 ~worker:2 ~key:0 3;
+  let window (v : Sanitizer.Checker.violation) =
+    List.map
+      (fun (r : Obs.Trace.record) ->
+        ( (r.Obs.Trace.seq, r.Obs.Trace.time),
+          (r.Obs.Trace.worker, Obs.Trace.event_name r.Obs.Trace.event) ))
+      v.Sanitizer.Checker.window
+  in
+  let records = Alcotest.(list (pair (pair int int) (pair int string))) in
+  match Sanitizer.Checker.violations san with
+  | [ unknown; twice ] ->
+      check records "short window" [ ((1, 0), (1, "iter-exec")) ] (window unknown);
+      check records "latest four, ending at the offender"
+        [
+          ((8, 6), (2, "iter-exec"));
+          ((9, 7), (0, "iter-exec"));
+          ((10, 8), (1, "iter-exec"));
+          ((11, 9), (2, "iter-exec"));
+        ]
+        (window twice)
+  | vs -> Alcotest.failf "expected two violations, got %d" (List.length vs)
+
+(* ------------------------------------------------------------------ *)
 (* Fuzzer.                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -275,6 +499,9 @@ let suite =
     Alcotest.test_case "catches innermost promotion" `Quick catches_inner_promotion;
     Alcotest.test_case "clean runs: zero violations, identical results" `Quick
       clean_run_zero_violations_and_identical;
+    QCheck_alcotest.to_alcotest coverage_matches_reference;
+    Alcotest.test_case "violation window keeps the latest records" `Quick
+      violation_window_keeps_latest_records;
     Alcotest.test_case "fuzz generation is deterministic" `Quick fuzz_generation_deterministic;
     Alcotest.test_case "fuzz: generated cases pass" `Quick fuzz_clean_cases_pass;
     Alcotest.test_case "fuzz: forced failure shrinks and replays" `Quick

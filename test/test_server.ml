@@ -505,6 +505,66 @@ let pause_policy_deterministic () =
   check Alcotest.string "decision journals byte-identical" a.Serve.Server.decisions
     b.Serve.Server.decisions
 
+(* A job's checker violations must be reported whichever terminal state
+   ends it. Here tenant 0's job pauses after one quantum, then tenant 1's
+   long job takes the pool until the paused job's refreshed deadline has
+   passed, so it ends by expiring in the queue, never resuming. The seeded
+   [Promote_innermost] bug makes every promotion of its first episode a
+   promotion-policy violation, and those must reach [result.violations]. *)
+let paused_then_expired_job_reports_violations () =
+  let cfg c =
+    {
+      c with
+      Serve.Server.tenants =
+        [|
+          {
+            tenant with
+            Serve.Server.arrival = Serve.Arrival.Burst { period = 1_000_000; size = 1 };
+            jobs = 1;
+            scale = 0.03;
+            workloads = [ "spmv-powerlaw" ];
+            workers_wanted = 2;
+            deadline = Some (60_000, 60_000);
+          };
+          {
+            tenant with
+            Serve.Server.arrival = Serve.Arrival.Burst { period = 1_000_000; size = 1 };
+            jobs = 1;
+            scale = 0.03;
+            workloads = [ "mandelbrot" ];
+            workers_wanted = 2;
+          };
+        |];
+      pool = 2;
+      preempt = Serve.Server.Pause_and_requeue;
+      max_preempts = 50;
+    }
+  in
+  Hbc_core.Executor.set_seeded_bug (Some Hbc_core.Executor.Promote_innermost);
+  let r =
+    Fun.protect ~finally:(fun () -> Hbc_core.Executor.set_seeded_bug None) (fun () -> run cfg)
+  in
+  let paused =
+    List.find
+      (fun (j : Serve.Server.job_report) -> j.Serve.Server.tenant = 0)
+      r.Serve.Server.reports
+  in
+  check Alcotest.string "paused job expired in the queue" "deadline"
+    (Serve.Server.outcome_name paused.Serve.Server.outcome);
+  check Alcotest.int "after exactly one episode" 1 paused.Serve.Server.episodes;
+  check Alcotest.int "and never resumed" 0 r.Serve.Server.stats.Serve.Server.resumed;
+  let mine =
+    List.filter_map
+      (fun (j, v) -> if j = Some paused.Serve.Server.job then Some v else None)
+      r.Serve.Server.violations
+  in
+  check Alcotest.bool "its violations are reported" true (mine <> []);
+  List.iter
+    (fun (v : Sanitizer.Checker.violation) ->
+      check Alcotest.string "as promotion-policy violations" "promotion-policy"
+        (Sanitizer.Checker.invariant_name v.Sanitizer.Checker.invariant))
+    mine
+
 let with_temp_wal f =
   let path = Filename.temp_file "hbc-test" ".wal" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
@@ -613,6 +673,8 @@ let suite =
     Alcotest.test_case "pause policy completes" `Quick pause_policy_completes;
     Alcotest.test_case "cancel vs pause contrast" `Quick cancel_vs_pause_contrast;
     Alcotest.test_case "pause policy deterministic" `Quick pause_policy_deterministic;
+    Alcotest.test_case "paused-then-expired job reports violations" `Quick
+      paused_then_expired_job_reports_violations;
     Alcotest.test_case "wal kill and recover" `Quick wal_kill_and_recover;
     Alcotest.test_case "wal foreign log rejected" `Quick wal_foreign_log_rejected;
   ]
