@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo health check: build, full test suite, a tiny-scale smoke run of the
+# Repo health check: build, full test suite, a Fig. 4 output and journal pin
+# against committed files, a tiny-scale smoke run of the
 # fault-injection sweep (exits non-zero on any output-validation failure),
 # a perf-gate report + bench-diff smoke, and (unless skipped) a
 # kill-and-resume exercise of the campaign journal.
@@ -18,9 +19,30 @@ dune runtest
 
 dune exec bin/hbc_repro.exe -- fault-sweep --scale 0.04 --workers 8
 
+# --- Fig. 4 pin: the campaign's table and chart must match the committed
+# output byte for byte, and a journal written by an earlier build (same
+# campaign, committed alongside) must resume with every trial reused, no
+# line dropped and the same figure ---
+REPRO=_build/default/bin/hbc_repro.exe
+"$REPRO" fig4 --scale 0.03 | cmp -s - test/golden/fig4_scale003.txt \
+    || { echo "check.sh: fig4 --scale 0.03 differs from test/golden/fig4_scale003.txt" >&2; exit 1; }
+PJ=$(mktemp "$TMP/hbc-journal.XXXXXX.jsonl")
+cp test/golden/fig4_scale003_journal.jsonl "$PJ"
+PJN=$(wc -l < "$PJ")
+PJOUT=$(mktemp "$TMP/hbc-fig4.XXXXXX.txt")
+"$REPRO" fig4 --scale 0.03 --resume --journal "$PJ" > "$PJOUT"
+grep -q "^journal: $PJN reused, 0 recorded" "$PJOUT" \
+    || { echo "check.sh: committed journal did not resume in full" >&2; exit 1; }
+if grep -q "^journal: dropped" "$PJOUT"; then
+    echo "check.sh: committed journal had unreadable lines" >&2; exit 1
+fi
+grep -v "^journal: " "$PJOUT" | cmp -s - test/golden/fig4_scale003.txt \
+    || { echo "check.sh: resumed fig4 differs from test/golden/fig4_scale003.txt" >&2; exit 1; }
+rm -f "$PJ" "$PJOUT"
+echo "check.sh: fig4 pin OK"
+
 # --- trace export smoke test: run one benchmark with --trace, then lint the
 # exported Chrome trace JSON (parses, >=1 promotion, >=1 steal event) ---
-REPRO=_build/default/bin/hbc_repro.exe
 T=$(mktemp "$TMP/hbc-trace.XXXXXX.json")
 "$REPRO" run spmv-powerlaw --scale 0.05 --workers 8 --trace "$T" > /dev/null
 "$REPRO" trace-lint "$T"

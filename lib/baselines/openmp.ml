@@ -69,7 +69,7 @@ let add_work_bytes st c bytes =
   st.metrics.Sim.Metrics.work_cycles <- st.metrics.Sim.Metrics.work_cycles + c;
   let total = Sim.Membus.serve st.bus ~now:(Sim.Engine.now st.eng) ~compute:c ~bytes in
   if total > 0 then Sim.Engine.advance st.eng total;
-  if total > c then Sim.Metrics.add_overhead st.metrics "membus" (total - c)
+  if total > c then Sim.Metrics.add_overhead st.metrics Sim.Metrics.Membus (total - c)
 
 let reduction_cost (spec : Ir.Locals.spec) =
   8 + (2 * (spec.Ir.Locals.nfloats + spec.Ir.Locals.nints))
@@ -80,17 +80,21 @@ let rec serial_into acc acc_bytes env ctxs (l : _ Ir.Nest.loop) =
   (match l.Ir.Nest.init with Some f -> f env ctx.Ir.Ctx.locals | None -> ());
   acc_bytes := !acc_bytes + ((ctx.Ir.Ctx.hi - ctx.Ir.Ctx.lo) * l.Ir.Nest.bytes_per_iter);
   while ctx.Ir.Ctx.lo < ctx.Ir.Ctx.hi do
-    List.iter
-      (fun seg ->
-        match seg with
-        | Ir.Nest.Stmt s -> acc := !acc + s.Ir.Nest.exec env ctxs ctx.Ir.Ctx.lo
-        | Ir.Nest.Nested child ->
-            let lo, hi = child.Ir.Nest.bounds env ctxs in
-            Ir.Ctx.set_slice ctxs.(child.Ir.Nest.ordinal) ~lo ~hi;
-            serial_into acc acc_bytes env ctxs child)
-      l.Ir.Nest.body;
+    serial_segments acc acc_bytes env ctxs l.Ir.Nest.body ctx.Ir.Ctx.lo;
     ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
   done
+
+and serial_segments acc acc_bytes env ctxs segs iter =
+  match segs with
+  | [] -> ()
+  | Ir.Nest.Stmt s :: rest ->
+      acc := !acc + s.Ir.Nest.exec env ctxs iter;
+      serial_segments acc acc_bytes env ctxs rest iter
+  | Ir.Nest.Nested child :: rest ->
+      let lo, hi = child.Ir.Nest.bounds env ctxs in
+      Ir.Ctx.set_slice ctxs.(child.Ir.Nest.ordinal) ~lo ~hi;
+      serial_into acc acc_bytes env ctxs child;
+      serial_segments acc acc_bytes env ctxs rest iter
 
 (* One iteration of a parallelized loop. In [All_doall] mode every nested
    DOALL invocation builds a nested team: grab the global runtime lock, pay
@@ -98,48 +102,54 @@ let rec serial_into acc acc_bytes env ctxs (l : _ Ir.Nest.loop) =
    machine is already fully subscribed), and join. *)
 let rec omp_iteration st env ctxs (l : _ Ir.Nest.loop) iter acc acc_bytes =
   acc_bytes := !acc_bytes + l.Ir.Nest.bytes_per_iter;
-  List.iter
-    (fun seg ->
-      match seg with
-      | Ir.Nest.Stmt s -> acc := !acc + s.Ir.Nest.exec env ctxs iter
-      | Ir.Nest.Nested child -> (
-          let lo, hi = child.Ir.Nest.bounds env ctxs in
-          Ir.Ctx.set_slice ctxs.(child.Ir.Nest.ordinal) ~lo ~hi;
-          match st.cfg.nested with
-          | Outermost_only -> serial_into acc acc_bytes env ctxs child
-          | All_doall when not child.Ir.Nest.doall -> serial_into acc acc_bytes env ctxs child
-          | All_doall ->
-              (* Flush accumulated work so lock contention happens in virtual
-                 time order. *)
-              add_work_bytes st !acc !acc_bytes;
-              acc := 0;
-              acc_bytes := 0;
-              let now = Sim.Engine.now st.eng in
-              let wait = Stdlib.max 0 (st.nested_lock_free_at - now) in
-              overhead st "omp-contention" wait;
-              (* Team construction owns the runtime lock for substantially
-                 longer than a top-level fork: thread-pool churn under
-                 oversubscription. *)
-              st.nested_lock_free_at <-
-                Sim.Engine.now st.eng + (3 * st.cfg.cost.Sim.Cost_model.omp_fork_cost);
-              overhead st "omp-fork" st.cfg.cost.Sim.Cost_model.omp_fork_cost;
-              let iters = Stdlib.max 0 (hi - lo) in
-              overhead st "omp-spawn" (iters * st.cfg.cost.Sim.Cost_model.omp_task_spawn_cost);
-              st.metrics.Sim.Metrics.tasks_spawned <-
-                st.metrics.Sim.Metrics.tasks_spawned + iters;
-              (match child.Ir.Nest.init with
-              | Some f -> f env ctxs.(child.Ir.Nest.ordinal).Ir.Ctx.locals
-              | None -> ());
-              let cctx = ctxs.(child.Ir.Nest.ordinal) in
-              while cctx.Ir.Ctx.lo < cctx.Ir.Ctx.hi do
-                omp_iteration st env ctxs child cctx.Ir.Ctx.lo acc acc_bytes;
-                cctx.Ir.Ctx.lo <- cctx.Ir.Ctx.lo + 1
-              done;
-              add_work_bytes st !acc !acc_bytes;
-              acc := 0;
-              acc_bytes := 0;
-              overhead st "omp-join" st.cfg.cost.Sim.Cost_model.omp_join_cost))
-    l.Ir.Nest.body
+  omp_segments st env ctxs l.Ir.Nest.body iter acc acc_bytes
+
+and omp_segments st env ctxs segs iter acc acc_bytes =
+  match segs with
+  | [] -> ()
+  | Ir.Nest.Stmt s :: rest ->
+      acc := !acc + s.Ir.Nest.exec env ctxs iter;
+      omp_segments st env ctxs rest iter acc acc_bytes
+  | Ir.Nest.Nested child :: rest ->
+      omp_child st env ctxs child acc acc_bytes;
+      omp_segments st env ctxs rest iter acc acc_bytes
+
+and omp_child st env ctxs (child : _ Ir.Nest.loop) acc acc_bytes =
+  let lo, hi = child.Ir.Nest.bounds env ctxs in
+  Ir.Ctx.set_slice ctxs.(child.Ir.Nest.ordinal) ~lo ~hi;
+  match st.cfg.nested with
+  | Outermost_only -> serial_into acc acc_bytes env ctxs child
+  | All_doall when not child.Ir.Nest.doall -> serial_into acc acc_bytes env ctxs child
+  | All_doall ->
+      (* Flush accumulated work so lock contention happens in virtual
+         time order. *)
+      add_work_bytes st !acc !acc_bytes;
+      acc := 0;
+      acc_bytes := 0;
+      let now = Sim.Engine.now st.eng in
+      let wait = Stdlib.max 0 (st.nested_lock_free_at - now) in
+      overhead st Sim.Metrics.Omp_contention wait;
+      (* Team construction owns the runtime lock for substantially
+         longer than a top-level fork: thread-pool churn under
+         oversubscription. *)
+      st.nested_lock_free_at <-
+        Sim.Engine.now st.eng + (3 * st.cfg.cost.Sim.Cost_model.omp_fork_cost);
+      overhead st Sim.Metrics.Omp_fork st.cfg.cost.Sim.Cost_model.omp_fork_cost;
+      let iters = Stdlib.max 0 (hi - lo) in
+      overhead st Sim.Metrics.Omp_spawn (iters * st.cfg.cost.Sim.Cost_model.omp_task_spawn_cost);
+      st.metrics.Sim.Metrics.tasks_spawned <- st.metrics.Sim.Metrics.tasks_spawned + iters;
+      (match child.Ir.Nest.init with
+      | Some f -> f env ctxs.(child.Ir.Nest.ordinal).Ir.Ctx.locals
+      | None -> ());
+      let cctx = ctxs.(child.Ir.Nest.ordinal) in
+      while cctx.Ir.Ctx.lo < cctx.Ir.Ctx.hi do
+        omp_iteration st env ctxs child cctx.Ir.Ctx.lo acc acc_bytes;
+        cctx.Ir.Ctx.lo <- cctx.Ir.Ctx.lo + 1
+      done;
+      add_work_bytes st !acc !acc_bytes;
+      acc := 0;
+      acc_bytes := 0;
+      overhead st Sim.Metrics.Omp_join st.cfg.cost.Sim.Cost_model.omp_join_cost
 
 let exec_nest st (prog : _ Ir.Program.t) env (nest : _ Ir.Nest.loop) =
   let serial_requested = List.mem nest.Ir.Nest.loop_name prog.Ir.Program.omp_serial_nests in
@@ -151,7 +161,7 @@ let exec_nest st (prog : _ Ir.Program.t) env (nest : _ Ir.Nest.loop) =
   else begin
     let n = Ir.Nest.index nest in
     let specs = Ir.Nest.locals_specs nest in
-    overhead st "omp-fork" st.cfg.cost.Sim.Cost_model.omp_fork_cost;
+    overhead st Sim.Metrics.Omp_fork st.cfg.cost.Sim.Cost_model.omp_fork_cost;
     (* Root bounds are evaluated once by the master, like libomp does. *)
     let probe_ctxs = Array.init n (fun o -> Ir.Ctx.make ~ordinal:o ~spec:specs.(o)) in
     let lo, hi = nest.Ir.Nest.bounds env probe_ctxs in
@@ -165,7 +175,7 @@ let exec_nest st (prog : _ Ir.Program.t) env (nest : _ Ir.Nest.loop) =
       (match nest.Ir.Nest.init with
       | Some f -> f env ctxs.(nest.Ir.Nest.ordinal).Ir.Ctx.locals
       | None -> ());
-      overhead st "omp-setup" st.cfg.cost.Sim.Cost_model.omp_static_setup_cost;
+      overhead st Sim.Metrics.Omp_setup st.cfg.cost.Sim.Cost_model.omp_static_setup_cost;
       (match st.cfg.schedule with
       | Static ->
           let len = hi - lo in
@@ -209,8 +219,8 @@ let exec_nest st (prog : _ Ir.Program.t) env (nest : _ Ir.Nest.loop) =
               let wait = Stdlib.max 0 (st.dispatch_free_at - now) in
               st.dispatch_free_at <-
                 Stdlib.max now st.dispatch_free_at + st.cfg.cost.Sim.Cost_model.omp_dispatch_hold;
-              overhead st "omp-contention" wait;
-              overhead st "omp-dispatch" st.cfg.cost.Sim.Cost_model.omp_dispatch_cost;
+              overhead st Sim.Metrics.Omp_contention wait;
+              overhead st Sim.Metrics.Omp_dispatch st.cfg.cost.Sim.Cost_model.omp_dispatch_cost;
               let acc = ref 0 and acc_bytes = ref 0 in
               for i = k to Stdlib.min hi (k + chunk) - 1 do
                 ctx.Ir.Ctx.lo <- i;
@@ -242,7 +252,7 @@ let exec_nest st (prog : _ Ir.Program.t) env (nest : _ Ir.Nest.loop) =
         for w = 1 to st.cfg.workers - 1 do
           match per_worker_ctxs.(w) with
           | Some ctxs ->
-              overhead st "omp-reduce" (reduction_cost specs.(nest.Ir.Nest.ordinal));
+              overhead st Sim.Metrics.Omp_reduce (reduction_cost specs.(nest.Ir.Nest.ordinal));
               combine master_ctxs.(nest.Ir.Nest.ordinal).Ir.Ctx.locals
                 ctxs.(nest.Ir.Nest.ordinal).Ir.Ctx.locals
           | None -> ()
@@ -252,7 +262,7 @@ let exec_nest st (prog : _ Ir.Program.t) env (nest : _ Ir.Nest.loop) =
         match (nest.Ir.Nest.commit, per_worker_ctxs.(0)) with
         | Some f, Some master_ctxs -> f env master_ctxs
         | _ -> ()));
-    overhead st "omp-join" st.cfg.cost.Sim.Cost_model.omp_join_cost
+    overhead st Sim.Metrics.Omp_join st.cfg.cost.Sim.Cost_model.omp_join_cost
   end
 
 let omp_worker st w =

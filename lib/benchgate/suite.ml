@@ -237,6 +237,32 @@ let micro_sanitizer_coverage () =
       Probe.deti ~polarity:Report.Exact ctx "records" (Sanitizer.Checker.records_seen san);
       Probe.deti ctx "violations" (Sanitizer.Checker.violation_count san))
 
+(* The simulator's charge path: one [add_overhead] per kind per round, on
+   metrics built before the timed loop. A charge is an array bump and a bit
+   set, so the loop allocates nothing: its minor words are measured
+   directly and gated at 0, and a cost-part list, closure or boxed value
+   added to the charge path fails the gate. [wall_ns_per_call] is
+   advisory. *)
+let micro_overhead_attribution () =
+  Probe.run ~name:"micro/overhead-attribution" (fun ctx ->
+      let m = Sim.Metrics.create () in
+      let kinds = Array.of_list Sim.Metrics.kinds in
+      let rounds = 16384 in
+      let t0 = Unix.gettimeofday () in
+      let w0 = Gc.minor_words () in
+      for r = 1 to rounds do
+        for i = 0 to Array.length kinds - 1 do
+          Sim.Metrics.add_overhead m kinds.(i) (r land 7)
+        done
+      done;
+      let charge_words = int_of_float (Gc.minor_words () -. w0) in
+      let t1 = Unix.gettimeofday () in
+      let calls = rounds * Array.length kinds in
+      Probe.deti ~polarity:Report.Exact ctx "calls" calls;
+      Probe.deti ~polarity:Report.Exact ctx "overhead_cycles" m.Sim.Metrics.overhead_cycles;
+      Probe.deti ctx "charge_alloc_words" charge_words;
+      Probe.adv ctx "wall_ns_per_call" ((t1 -. t0) *. 1e9 /. float_of_int calls))
+
 let micro () =
   [
     micro_deque ();
@@ -249,6 +275,7 @@ let micro () =
     micro_domains_dispatch ();
     micro_native_untraced_overhead ();
     micro_sanitizer_coverage ();
+    micro_overhead_attribution ();
   ]
 
 (* --------------------------- macro probes ------------------------- *)

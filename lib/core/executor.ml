@@ -68,6 +68,11 @@ let wid (st : run_state) = Sim.Engine.worker_id st.eng
 let emit (st : run_state) ev =
   Obs.Trace.Sink.emit st.trace ~time:(Sim.Engine.now st.eng) ~worker:(wid st) ev
 
+(* Attribute cycles an advance already paid for. Charges are fixed-arity
+   calls (one advance, then one [charge] per part): no cost-part lists and
+   no closures on the charge path. *)
+let charge (st : run_state) kind c = if c > 0 then Sim.Metrics.add_overhead st.metrics kind c
+
 (* Charge overhead cycles: one engine advance, per-kind attribution. *)
 let overhead (st : run_state) kind c =
   if c > 0 then begin
@@ -75,23 +80,19 @@ let overhead (st : run_state) kind c =
     Sim.Metrics.add_overhead st.metrics kind c
   end
 
-let overheads (st : run_state) parts =
-  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 parts in
-  if total > 0 then begin
-    Sim.Engine.advance st.eng total;
-    List.iter (fun (k, c) -> if c > 0 then Sim.Metrics.add_overhead st.metrics k c) parts
-  end
-
-(* Work plus overheads in a single advance (hot path: one event per chunk).
-   Memory traffic is booked on the shared bus; time past the compute cost is
-   a bandwidth stall. *)
-let advance_mixed (st : run_state) ~work ?(bytes = 0) parts =
-  let compute = List.fold_left (fun acc (_, c) -> acc + c) work parts in
+(* Work plus [extra] overhead cycles in a single advance (hot path: one
+   event per chunk); the caller [charge]s [extra] to its kinds. Memory
+   traffic is booked on the shared bus; time past the compute cost is a
+   bandwidth stall. *)
+let advance_mixed (st : run_state) ~work ~bytes ~extra =
+  let compute = work + extra in
   let total = Sim.Membus.serve st.bus ~now:(Sim.Engine.now st.eng) ~compute ~bytes in
   if total > 0 then Sim.Engine.advance st.eng total;
   st.metrics.Sim.Metrics.work_cycles <- st.metrics.Sim.Metrics.work_cycles + work;
-  List.iter (fun (k, c) -> if c > 0 then Sim.Metrics.add_overhead st.metrics k c) parts;
-  if total > compute then Sim.Metrics.add_overhead st.metrics "membus" (total - compute)
+  if total > compute then Sim.Metrics.add_overhead st.metrics Sim.Metrics.Membus (total - compute)
+
+(* Chunk-loop bookkeeping cycles per leaf-chunk invocation. *)
+let chunking_cost = 2
 
 let add_work (st : run_state) c =
   st.metrics.Sim.Metrics.work_cycles <- st.metrics.Sim.Metrics.work_cycles + c;
@@ -132,24 +133,21 @@ let rec serial_loop c (ctxs : Ir.Ctx.set) (l : _ Ir.Nest.loop) acc acc_bytes =
   (match l.Ir.Nest.init with Some f -> f c.env ctx.Ir.Ctx.locals | None -> ());
   acc_bytes := !acc_bytes + ((hi - lo) * l.Ir.Nest.bytes_per_iter);
   while ctx.Ir.Ctx.lo < ctx.Ir.Ctx.hi do
-    List.iter
-      (fun seg ->
-        match seg with
-        | Ir.Nest.Stmt s -> acc := !acc + s.Ir.Nest.exec c.env ctxs ctx.Ir.Ctx.lo
-        | Ir.Nest.Nested child -> serial_loop c ctxs child acc acc_bytes)
-      l.Ir.Nest.body;
+    serial_segments c ctxs l.Ir.Nest.body ctx.Ir.Ctx.lo acc acc_bytes;
     ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
   done
 
-(* One leaf iteration: statements plus sequential sub-loops, cost
-   accumulated without advancing. *)
-let exec_leaf_iteration c ctxs (info : _ Compiled.loop_info) iter acc acc_bytes =
-  List.iter
-    (fun seg ->
-      match seg with
-      | Ir.Nest.Stmt s -> acc := !acc + s.Ir.Nest.exec c.env ctxs iter
-      | Ir.Nest.Nested child -> serial_loop c ctxs child acc acc_bytes)
-    info.Compiled.loop.Ir.Nest.body
+(* One iteration's statements plus sequential sub-loops, cost accumulated
+   without advancing. *)
+and serial_segments c ctxs segs iter acc acc_bytes =
+  match segs with
+  | [] -> ()
+  | Ir.Nest.Stmt s :: rest ->
+      acc := !acc + s.Ir.Nest.exec c.env ctxs iter;
+      serial_segments c ctxs rest iter acc acc_bytes
+  | Ir.Nest.Nested child :: rest ->
+      serial_loop c ctxs child acc acc_bytes;
+      serial_segments c ctxs rest iter acc acc_bytes
 
 (* Sanitizer bookkeeping: a loop-slice *invocation* is identified by the
    iteration vector of its ancestors (each ancestor's current iteration)
@@ -210,31 +208,23 @@ and run_slice_body : 'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> int -> st
  fun c ts ctxs ord ->
   let st = c.st in
   let info = c.nest.Compiled.infos.(ord) in
-  overheads st
-    [
-      ("outline-call", (cm st).Sim.Cost_model.outline_call_cost);
-      ("closure", (cm st).Sim.Cost_model.closure_load_cost);
-    ];
+  let outline = (cm st).Sim.Cost_model.outline_call_cost
+  and closure = (cm st).Sim.Cost_model.closure_load_cost in
+  if outline + closure > 0 then begin
+    Sim.Engine.advance st.eng (outline + closure);
+    charge st Sim.Metrics.Outline_call outline;
+    charge st Sim.Metrics.Closure closure
+  end;
   let ctx = ctxs.(ord) in
   if not info.Compiled.doall then begin
     let acc = ref 0 in
     let acc_bytes = ref ((ctx.Ir.Ctx.hi - ctx.Ir.Ctx.lo) * info.Compiled.loop.Ir.Nest.bytes_per_iter) in
     (* Bounds were set by the caller; re-run the subtree serially. *)
-    let saved_lo = ctx.Ir.Ctx.lo and saved_hi = ctx.Ir.Ctx.hi in
-    let body_only () =
-      while ctx.Ir.Ctx.lo < ctx.Ir.Ctx.hi do
-        List.iter
-          (fun seg ->
-            match seg with
-            | Ir.Nest.Stmt s -> acc := !acc + s.Ir.Nest.exec c.env ctxs ctx.Ir.Ctx.lo
-            | Ir.Nest.Nested child -> serial_loop c ctxs child acc acc_bytes)
-          info.Compiled.loop.Ir.Nest.body;
-        ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
-      done
-    in
-    Ir.Ctx.set_slice ctx ~lo:saved_lo ~hi:saved_hi;
-    body_only ();
-    advance_mixed st ~work:!acc ~bytes:!acc_bytes [];
+    while ctx.Ir.Ctx.lo < ctx.Ir.Ctx.hi do
+      serial_segments c ctxs info.Compiled.loop.Ir.Nest.body ctx.Ir.Ctx.lo acc acc_bytes;
+      ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
+    done;
+    advance_mixed st ~work:!acc ~bytes:!acc_bytes ~extra:0;
     Done
   end
   else if info.Compiled.is_leaf then run_leaf c ts ctxs info
@@ -296,11 +286,13 @@ and run_leaf : 'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> 'e Compiled.loo
            "No chunking". *)
         let acc = ref 0 in
         let acc_bytes = ref info.Compiled.loop.Ir.Nest.bytes_per_iter in
-        exec_leaf_iteration c ctxs info ctx.Ir.Ctx.lo acc acc_bytes;
+        serial_segments c ctxs info.Compiled.loop.Ir.Nest.body ctx.Ir.Ctx.lo acc acc_bytes;
         emit_iter_exec c ctxs ord ~lo:ctx.Ir.Ctx.lo ~hi:(ctx.Ir.Ctx.lo + 1);
         let poll = Heartbeat.poll_cost st.hb ~worker:w in
-        advance_mixed st ~work:!acc ~bytes:!acc_bytes
-          [ ("poll", poll); ("promotion-branch", costs.Sim.Cost_model.promotion_branch_cost) ];
+        let branch = costs.Sim.Cost_model.promotion_branch_cost in
+        advance_mixed st ~work:!acc ~bytes:!acc_bytes ~extra:(poll + branch);
+        charge st Sim.Metrics.Poll poll;
+        charge st Sim.Metrics.Promotion_branch branch;
         (match ac with Some a -> Sched.Adaptive_chunking.on_poll a | None -> ());
         let beat =
           Heartbeat.consume st.hb ~worker:w ~count_poll:true
@@ -327,7 +319,7 @@ and run_leaf : 'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> 'e Compiled.loo
         let acc_bytes = ref (todo * info.Compiled.loop.Ir.Nest.bytes_per_iter) in
         for k = 0 to todo - 1 do
           ctx.Ir.Ctx.lo <- start + k;
-          exec_leaf_iteration c ctxs info (start + k) acc acc_bytes
+          serial_segments c ctxs info.Compiled.loop.Ir.Nest.body (start + k) acc acc_bytes
         done;
         emit_iter_exec c ctxs ord ~lo:start ~hi:(start + todo);
         (* ctx.lo is the last executed iteration: the latch sees it, the
@@ -336,13 +328,13 @@ and run_leaf : 'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> 'e Compiled.loo
         let full_chunk = ts.residual.(ord) = 0 in
         if full_chunk then begin
           let poll = Heartbeat.poll_cost st.hb ~worker:w in
+          let branch = costs.Sim.Cost_model.promotion_branch_cost in
           advance_mixed st ~work:!acc ~bytes:!acc_bytes
-            [
-              ("chunking", 2);
-              ("chunk-transfer", transfer_cost);
-              ("poll", poll);
-              ("promotion-branch", costs.Sim.Cost_model.promotion_branch_cost);
-            ];
+            ~extra:(chunking_cost + transfer_cost + poll + branch);
+          charge st Sim.Metrics.Chunking chunking_cost;
+          charge st Sim.Metrics.Chunk_transfer transfer_cost;
+          charge st Sim.Metrics.Poll poll;
+          charge st Sim.Metrics.Promotion_branch branch;
           (match ac with Some a -> Sched.Adaptive_chunking.on_poll a | None -> ());
           let beat =
             let b = Heartbeat.consume st.hb ~worker:w ~count_poll:true in
@@ -358,8 +350,9 @@ and run_leaf : 'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> 'e Compiled.loo
         else begin
           (* Partial chunk: the invocation ends here and the residual
              transfers to the next invocation of this leaf in this task. *)
-          advance_mixed st ~work:!acc ~bytes:!acc_bytes
-            [ ("chunking", 2); ("chunk-transfer", transfer_cost) ];
+          advance_mixed st ~work:!acc ~bytes:!acc_bytes ~extra:(chunking_cost + transfer_cost);
+          charge st Sim.Metrics.Chunking chunking_cost;
+          charge st Sim.Metrics.Chunk_transfer transfer_cost;
           ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
         end
   done;
@@ -385,8 +378,9 @@ and run_general :
            a branch; the heartbeat visibility itself is the leaf poll's (or
            the interrupt flag), so no poll cost here. The iteration's own
            memory traffic is booked here too. *)
-        advance_mixed st ~work:0 ~bytes:info.Compiled.loop.Ir.Nest.bytes_per_iter
-          [ ("promotion-branch", costs.Sim.Cost_model.promotion_branch_cost) ];
+        let branch = costs.Sim.Cost_model.promotion_branch_cost in
+        advance_mixed st ~work:0 ~bytes:info.Compiled.loop.Ir.Nest.bytes_per_iter ~extra:branch;
+        charge st Sim.Metrics.Promotion_branch branch;
         let beat =
           Heartbeat.consume st.hb ~worker:(wid st) ~count_poll:false
           || st.cfg.Rt_config.force_promotion
@@ -409,37 +403,35 @@ and run_segments :
     'e Ir.Nest.segment list ->
     int ->
     seg_result =
- fun c ts ctxs _info segs iter ->
+ fun c ts ctxs info segs iter ->
   let st = c.st in
-  let rec go = function
-    | [] -> Seg_ok
-    | Ir.Nest.Stmt s :: rest ->
-        add_work st (s.Ir.Nest.exec c.env ctxs iter);
-        go rest
-    | Ir.Nest.Nested child :: rest ->
-        let cinfo = c.nest.Compiled.infos.(child.Ir.Nest.ordinal) in
-        if cinfo.Compiled.doall then begin
-          let lo, hi = child.Ir.Nest.bounds c.env ctxs in
-          Ir.Ctx.set_slice ctxs.(child.Ir.Nest.ordinal) ~lo ~hi;
-          (* A fresh invocation (re)establishes the child's locals; a slice
-             resumed by a leftover task keeps its partial state instead. *)
-          (match child.Ir.Nest.init with
-          | Some f -> f c.env ctxs.(child.Ir.Nest.ordinal).Ir.Ctx.locals
-          | None -> ());
-          emit_slice_enter c ctxs child.Ir.Nest.ordinal;
-          overhead st "lst-store" (cm st).Sim.Cost_model.lst_store_cost;
-          match run_slice c ts ctxs child.Ir.Nest.ordinal with
-          | Done -> go rest
-          | Promoted j -> Seg_promoted j
-        end
-        else begin
-          let acc = ref 0 and acc_bytes = ref 0 in
-          serial_loop c ctxs child acc acc_bytes;
-          advance_mixed st ~work:!acc ~bytes:!acc_bytes [];
-          go rest
-        end
-  in
-  go segs
+  match segs with
+  | [] -> Seg_ok
+  | Ir.Nest.Stmt s :: rest ->
+      add_work st (s.Ir.Nest.exec c.env ctxs iter);
+      run_segments c ts ctxs info rest iter
+  | Ir.Nest.Nested child :: rest ->
+      let cinfo = c.nest.Compiled.infos.(child.Ir.Nest.ordinal) in
+      if cinfo.Compiled.doall then begin
+        let lo, hi = child.Ir.Nest.bounds c.env ctxs in
+        Ir.Ctx.set_slice ctxs.(child.Ir.Nest.ordinal) ~lo ~hi;
+        (* A fresh invocation (re)establishes the child's locals; a slice
+           resumed by a leftover task keeps its partial state instead. *)
+        (match child.Ir.Nest.init with
+        | Some f -> f c.env ctxs.(child.Ir.Nest.ordinal).Ir.Ctx.locals
+        | None -> ());
+        emit_slice_enter c ctxs child.Ir.Nest.ordinal;
+        overhead st Sim.Metrics.Lst_store (cm st).Sim.Cost_model.lst_store_cost;
+        match run_slice c ts ctxs child.Ir.Nest.ordinal with
+        | Done -> run_segments c ts ctxs info rest iter
+        | Promoted j -> Seg_promoted j
+      end
+      else begin
+        let acc = ref 0 and acc_bytes = ref 0 in
+        serial_loop c ctxs child acc acc_bytes;
+        advance_mixed st ~work:!acc ~bytes:!acc_bytes ~extra:0;
+        run_segments c ts ctxs info rest iter
+      end
 
 (* The promotion handler: outer-loop-first split of the current context
    chain, task creation, clone-optimized join. *)
@@ -487,7 +479,7 @@ and promote :
              });
       let tinfo = c.nest.Compiled.infos.(tgt) in
       emit st (Obs.Trace.promotion tinfo.Compiled.depth);
-      overhead st "promotion" (cm st).Sim.Cost_model.promotion_handler_cost;
+      overhead st Sim.Metrics.Promotion (cm st).Sim.Cost_model.promotion_handler_cost;
       let tctx = ctxs.(tgt) in
       let rem_lo = tctx.Ir.Ctx.lo + 1 and rem_hi = tctx.Ir.Ctx.hi in
       (* Consume the remaining iterations from the running task; everything
@@ -513,7 +505,7 @@ and promote :
                  | Done | Promoted _ -> ());
                  (match reduction with
                  | Some combine ->
-                     overhead st "reduction" (reduction_cost c.nest.Compiled.specs.(tgt));
+                     overhead st Sim.Metrics.Reduction (reduction_cost c.nest.Compiled.specs.(tgt));
                      combine tctx.Ir.Ctx.locals nctxs.(tgt).Ir.Ctx.locals
                  | None -> ());
                  S.finish_join st.sc join))
@@ -622,7 +614,7 @@ let exec_nest st (compiled : 'e Pipeline.program) (env : 'e) nest =
   | Some f -> f env ctxs.(root).Ir.Ctx.locals
   | None -> ());
   if rinfo.Compiled.doall then emit_slice_enter c ctxs root;
-  overhead st "lst-store" (cm st).Sim.Cost_model.lst_store_cost;
+  overhead st Sim.Metrics.Lst_store (cm st).Sim.Cost_model.lst_store_cost;
   let ts = fresh_task_state c in
   (match run_slice c ts ctxs root with
   | Done -> ()

@@ -49,7 +49,7 @@ let advance_bytes ctx ~compute ~bytes =
   st.metrics.Sim.Metrics.work_cycles <- st.metrics.Sim.Metrics.work_cycles + compute;
   let total = Sim.Membus.serve st.bus ~now:(Sim.Engine.now st.eng) ~compute ~bytes in
   if total > 0 then Sim.Engine.advance st.eng total;
-  if total > compute then Sim.Metrics.add_overhead st.metrics "membus" (total - compute)
+  if total > compute then Sim.Metrics.add_overhead st.metrics Sim.Metrics.Membus (total - compute)
 
 let wake_one st =
   let n = Array.length st.deques in
@@ -66,7 +66,7 @@ let push_task st task =
   Sim.Deque.push_bottom st.deques.(wid st) task;
   st.last_pusher <- wid st;
   st.metrics.Sim.Metrics.tasks_spawned <- st.metrics.Sim.Metrics.tasks_spawned + 1;
-  overhead st "promotion" (cm st).Sim.Cost_model.deque_push_cost;
+  overhead st Sim.Metrics.Promotion (cm st).Sim.Cost_model.deque_push_cost;
   wake_one st
 
 let try_steal st =
@@ -74,11 +74,11 @@ let try_steal st =
   let w = wid st in
   let probe v =
     st.metrics.Sim.Metrics.steal_attempts <- st.metrics.Sim.Metrics.steal_attempts + 1;
-    overhead st "steal" (cm st).Sim.Cost_model.steal_attempt_cost;
+    overhead st Sim.Metrics.Steal (cm st).Sim.Cost_model.steal_attempt_cost;
     match Sim.Deque.steal st.deques.(v) with
     | Some t ->
         st.metrics.Sim.Metrics.steals <- st.metrics.Sim.Metrics.steals + 1;
-        overhead st "steal" (cm st).Sim.Cost_model.steal_success_cost;
+        overhead st Sim.Metrics.Steal (cm st).Sim.Cost_model.steal_success_cost;
         Some t
     | None -> None
   in
@@ -123,7 +123,7 @@ let promote_oldest st =
       frame.promote <- None;
       st.promoted_forks <- st.promoted_forks + 1;
       Sim.Metrics.promotion_at_level st.metrics 0;
-      overhead st "promotion" (cm st).Sim.Cost_model.promotion_handler_cost;
+      overhead st Sim.Metrics.Promotion (cm st).Sim.Cost_model.promotion_handler_cost;
       p ();
       true
 
@@ -139,12 +139,12 @@ let fork2 : 'a 'b. ctx -> (ctx -> 'a) -> (ctx -> 'b) -> 'a * 'b =
   let w = wid st in
   (* Like the loop chunking transformation, the TSC poll is amortized over a
      fixed fork budget; the remaining forks only pay the guard branch. *)
-  overhead st "promotion-branch" costs.Sim.Cost_model.promotion_branch_cost;
+  overhead st Sim.Metrics.Promotion_branch costs.Sim.Cost_model.promotion_branch_cost;
   st.fork_countdown.(w) <- st.fork_countdown.(w) - 1;
   if st.fork_countdown.(w) <= 0 then begin
     st.fork_countdown.(w) <- forks_per_poll;
     let poll = Heartbeat.poll_cost st.hb ~worker:w in
-    if poll > 0 then overhead st "poll" poll;
+    if poll > 0 then overhead st Sim.Metrics.Poll poll;
     st.metrics.Sim.Metrics.polls <- st.metrics.Sim.Metrics.polls + 1;
     if Heartbeat.consume st.hb ~worker:w ~count_poll:false && st.cfg.Rt_config.promotion then
       ignore (promote_oldest st)
@@ -169,7 +169,7 @@ let fork2 : 'a 'b. ctx -> (ctx -> 'a) -> (ctx -> 'b) -> 'a * 'b =
                 if Sim.Engine.worker_id st.eng <> owner then begin
                   st.metrics.Sim.Metrics.join_slow_paths <-
                     st.metrics.Sim.Metrics.join_slow_paths + 1;
-                  overhead st "join" costs.Sim.Cost_model.join_slow_path_cost
+                  overhead st Sim.Metrics.Join costs.Sim.Cost_model.join_slow_path_cost
                 end;
                 Sim.Engine.unpark st.eng owner);
           });
@@ -193,7 +193,7 @@ let fork2 : 'a 'b. ctx -> (ctx -> 'a) -> (ctx -> 'b) -> 'a * 'b =
       while !pending > 0 do
         match Sim.Deque.pop_bottom st.deques.(wid st) with
         | Some t ->
-            overhead st "join" costs.Sim.Cost_model.deque_pop_cost;
+            overhead st Sim.Metrics.Join costs.Sim.Cost_model.deque_pop_cost;
             with_fresh_frames st t.run
         | None -> (
             match try_steal st with

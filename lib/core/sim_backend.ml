@@ -89,7 +89,7 @@ let pre_task b =
   let c = Sim.Fault_injector.stall_cycles b.inj ~worker:(worker_id b) in
   if c > 0 then begin
     Sim.Engine.advance b.eng c;
-    Sim.Metrics.add_overhead b.metrics "fault-stall" c
+    Sim.Metrics.add_overhead b.metrics Sim.Metrics.Fault_stall c
   end
 
 let on_task_claim b = b.steal_fails.(worker_id b) <- 0
@@ -127,7 +127,7 @@ let should_park b =
       b.steal_fails.(w) <- f + 1;
       let d = b.cost.Sim.Cost_model.idle_backoff lsl f in
       let d = d + Sim.Fault_injector.backoff_jitter b.inj ~worker:w ~limit:(1 + (d / 2)) in
-      overhead b "idle-backoff" d;
+      overhead b Sim.Metrics.Idle_backoff d;
       false
     end
   end
@@ -136,12 +136,12 @@ let idle b = if should_park b then Sim.Engine.park b.eng
 
 let set_busy b ~worker ~busy = Heartbeat.set_busy b.hb ~worker busy
 
-let charge_push b = overhead b "promotion" b.cost.Sim.Cost_model.deque_push_cost
+let charge_push b = overhead b Sim.Metrics.Promotion b.cost.Sim.Cost_model.deque_push_cost
 
-let charge_pop b = overhead b "join" b.cost.Sim.Cost_model.deque_pop_cost
+let charge_pop b = overhead b Sim.Metrics.Join b.cost.Sim.Cost_model.deque_pop_cost
 
-let charge_steal_attempt b = overhead b "steal" b.cost.Sim.Cost_model.steal_attempt_cost
+let charge_steal_attempt b = overhead b Sim.Metrics.Steal b.cost.Sim.Cost_model.steal_attempt_cost
 
-let charge_steal_success b = overhead b "steal" b.cost.Sim.Cost_model.steal_success_cost
+let charge_steal_success b = overhead b Sim.Metrics.Steal b.cost.Sim.Cost_model.steal_success_cost
 
-let charge_join_slow b = overhead b "join" b.cost.Sim.Cost_model.join_slow_path_cost
+let charge_join_slow b = overhead b Sim.Metrics.Join b.cost.Sim.Cost_model.join_slow_path_cost

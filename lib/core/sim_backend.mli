@@ -89,6 +89,3 @@ val charge_steal_success : t -> unit
 
 val charge_join_slow : t -> unit
 
-val overhead : t -> string -> int -> unit
-(** Charge overhead cycles: one engine advance, per-kind attribution
-    (shared with the executor's interpreter). *)

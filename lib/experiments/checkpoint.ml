@@ -72,12 +72,16 @@ let metrics_to_json (m : Sim.Metrics.t) =
         Arr (Array.to_list (Array.map (fun n -> Int n) m.Sim.Metrics.promotions_by_level)) );
       ( "overhead",
         Obj
-          (Hashtbl.fold (fun k v acc -> (k, Int v) :: acc) m.Sim.Metrics.overhead_by_kind []
+          (List.map (fun (k, v) -> (Sim.Metrics.kind_name k, Int v)) (Sim.Metrics.overheads m)
           |> List.sort compare) );
     ]
 
+(* [None] when the overhead object names a kind this build does not know:
+   the record is then dropped like a torn line and its trial re-runs,
+   instead of silently losing those cycles from the attribution. *)
 let metrics_of_json j =
   let m = Sim.Metrics.create () in
+  let known = ref true in
   (match j with
   | Obj fields ->
       (match mem "counters" fields with
@@ -99,12 +103,15 @@ let metrics_of_json j =
       (match mem "overhead" fields with
       | Some (Obj kinds) ->
           List.iter
-            (fun (k, v) ->
-              match v with Int i -> Hashtbl.replace m.Sim.Metrics.overhead_by_kind k i | _ -> ())
+            (fun (name, v) ->
+              match (Sim.Metrics.kind_of_name name, v) with
+              | Some k, Int i -> Sim.Metrics.set_overhead m k i
+              | Some _, _ -> ()
+              | None, _ -> known := false)
             kinds
       | _ -> ())
   | _ -> ());
-  m
+  if !known then Some m else None
 
 let result_to_json (r : Sim.Run_result.t) =
   let base =
@@ -131,32 +138,37 @@ let result_to_json (r : Sim.Run_result.t) =
 
 let result_of_json j =
   match j with
-  | Obj fields ->
+  | Obj fields -> (
       let fingerprint =
         match get_str "fingerprint" fields with
         | Some s -> ( match float_of_string_opt s with Some f -> f | None -> Float.nan)
         | None -> Float.nan
       in
-      Some
-        {
-          Sim.Run_result.makespan = Option.value ~default:0 (get_int "makespan" fields);
-          work_cycles = Option.value ~default:0 (get_int "work_cycles" fields);
-          fingerprint;
-          dnf = Option.value ~default:false (get_bool "dnf" fields);
-          termination =
-            (match mem "termination" fields with
-            | Some t -> termination_of_json t
-            | None -> Sim.Run_result.Finished);
-          metrics =
-            (match mem "metrics" fields with
-            | Some m -> metrics_of_json m
-            | None -> Sim.Metrics.create ());
-          trace =
-            (match mem "trace" fields with
-            | Some t -> Obs.Trace.records_of_json t
-            | None -> []);
-          sanitizer = get_str "sanitizer" fields;
-        }
+      let metrics =
+        match mem "metrics" fields with
+        | Some m -> metrics_of_json m
+        | None -> Some (Sim.Metrics.create ())
+      in
+      match metrics with
+      | None -> None
+      | Some metrics ->
+          Some
+            {
+              Sim.Run_result.makespan = Option.value ~default:0 (get_int "makespan" fields);
+              work_cycles = Option.value ~default:0 (get_int "work_cycles" fields);
+              fingerprint;
+              dnf = Option.value ~default:false (get_bool "dnf" fields);
+              termination =
+                (match mem "termination" fields with
+                | Some t -> termination_of_json t
+                | None -> Sim.Run_result.Finished);
+              metrics;
+              trace =
+                (match mem "trace" fields with
+                | Some t -> Obs.Trace.records_of_json t
+                | None -> []);
+              sanitizer = get_str "sanitizer" fields;
+            })
   | _ -> None
 
 let entry_to_json e =

@@ -1,3 +1,88 @@
+type kind =
+  | Poll
+  | Promotion_branch
+  | Chunking
+  | Chunk_transfer
+  | Outline_call
+  | Closure
+  | Lst_store
+  | Promotion
+  | Reduction
+  | Join
+  | Steal
+  | Membus
+  | Interrupt
+  | Fault_stall
+  | Idle_backoff
+  | Omp_fork
+  | Omp_setup
+  | Omp_dispatch
+  | Omp_contention
+  | Omp_spawn
+  | Omp_reduce
+  | Omp_join
+
+let kinds =
+  [
+    Poll; Promotion_branch; Chunking; Chunk_transfer; Outline_call; Closure; Lst_store;
+    Promotion; Reduction; Join; Steal; Membus; Interrupt; Fault_stall; Idle_backoff; Omp_fork;
+    Omp_setup; Omp_dispatch; Omp_contention; Omp_spawn; Omp_reduce; Omp_join;
+  ]
+
+let kind_name = function
+  | Poll -> "poll"
+  | Promotion_branch -> "promotion-branch"
+  | Chunking -> "chunking"
+  | Chunk_transfer -> "chunk-transfer"
+  | Outline_call -> "outline-call"
+  | Closure -> "closure"
+  | Lst_store -> "lst-store"
+  | Promotion -> "promotion"
+  | Reduction -> "reduction"
+  | Join -> "join"
+  | Steal -> "steal"
+  | Membus -> "membus"
+  | Interrupt -> "interrupt"
+  | Fault_stall -> "fault-stall"
+  | Idle_backoff -> "idle-backoff"
+  | Omp_fork -> "omp-fork"
+  | Omp_setup -> "omp-setup"
+  | Omp_dispatch -> "omp-dispatch"
+  | Omp_contention -> "omp-contention"
+  | Omp_spawn -> "omp-spawn"
+  | Omp_reduce -> "omp-reduce"
+  | Omp_join -> "omp-join"
+
+let kind_of_name name = List.find_opt (fun k -> String.equal (kind_name k) name) kinds
+
+(* The kind's slot in [overhead_by_kind] and its bit in [overhead_touched]:
+   its position in declaration order. *)
+let index = function
+  | Poll -> 0
+  | Promotion_branch -> 1
+  | Chunking -> 2
+  | Chunk_transfer -> 3
+  | Outline_call -> 4
+  | Closure -> 5
+  | Lst_store -> 6
+  | Promotion -> 7
+  | Reduction -> 8
+  | Join -> 9
+  | Steal -> 10
+  | Membus -> 11
+  | Interrupt -> 12
+  | Fault_stall -> 13
+  | Idle_backoff -> 14
+  | Omp_fork -> 15
+  | Omp_setup -> 16
+  | Omp_dispatch -> 17
+  | Omp_contention -> 18
+  | Omp_spawn -> 19
+  | Omp_reduce -> 20
+  | Omp_join -> 21
+
+let num_kinds = List.length kinds
+
 type t = {
   mutable heartbeats_generated : int;
   mutable heartbeats_detected : int;
@@ -13,7 +98,8 @@ type t = {
   mutable chunk_updates : int;
   mutable work_cycles : int;
   mutable overhead_cycles : int;
-  overhead_by_kind : (string, int) Hashtbl.t;
+  overhead_by_kind : int array;
+  mutable overhead_touched : int;
   mutable faults_beats_dropped : int;
   mutable faults_beats_delayed : int;
   mutable faults_steals_failed : int;
@@ -39,7 +125,8 @@ let create () =
     chunk_updates = 0;
     work_cycles = 0;
     overhead_cycles = 0;
-    overhead_by_kind = Hashtbl.create 16;
+    overhead_by_kind = Array.make num_kinds 0;
+    overhead_touched = 0;
     faults_beats_dropped = 0;
     faults_beats_delayed = 0;
     faults_steals_failed = 0;
@@ -50,17 +137,27 @@ let create () =
   }
 
 let add_overhead t kind c =
+  let i = index kind in
   t.overhead_cycles <- t.overhead_cycles + c;
-  let prev = Option.value ~default:0 (Hashtbl.find_opt t.overhead_by_kind kind) in
-  Hashtbl.replace t.overhead_by_kind kind (prev + c)
+  Array.unsafe_set t.overhead_by_kind i (Array.unsafe_get t.overhead_by_kind i + c);
+  t.overhead_touched <- t.overhead_touched lor (1 lsl i)
 
 let promotion_at_level t level =
   t.promotions <- t.promotions + 1;
   let level = Stdlib.min level (Array.length t.promotions_by_level - 1) in
   t.promotions_by_level.(level) <- t.promotions_by_level.(level) + 1
 
-let overhead_of t kind =
-  Option.value ~default:0 (Hashtbl.find_opt t.overhead_by_kind kind)
+let overhead_of t kind = t.overhead_by_kind.(index kind)
+
+let overhead_touched t kind = t.overhead_touched land (1 lsl index kind) <> 0
+
+let overheads t =
+  List.filter_map (fun k -> if overhead_touched t k then Some (k, overhead_of t k) else None) kinds
+
+let set_overhead t kind c =
+  let i = index kind in
+  t.overhead_by_kind.(i) <- c;
+  t.overhead_touched <- t.overhead_touched lor (1 lsl i)
 
 let promotion_share_by_level t =
   let total = Float.of_int t.promotions in

@@ -14,6 +14,42 @@
     captured trace ({!Run_result.t.trace}) and are queried through
     [Obs.Trace_query]. *)
 
+(** What an overhead cycle was spent on. Charges name their kind by
+    constructor, so a misspelt kind is a compile error rather than a
+    silently empty bucket. *)
+type kind =
+  | Poll  (** software heartbeat poll *)
+  | Promotion_branch  (** latch call and branch on the handler's result *)
+  | Chunking  (** chunk-loop bookkeeping *)
+  | Chunk_transfer  (** residual chunk counter carried across invocations *)
+  | Outline_call  (** calling an outlined loop slice *)
+  | Closure  (** loading a slice's context at entry *)
+  | Lst_store  (** parent storing a child's iteration space *)
+  | Promotion  (** promotion handler and deque pushes *)
+  | Reduction  (** combining a split loop's reduction locals *)
+  | Join
+  | Steal
+  | Membus  (** bandwidth stall past the compute cost *)
+  | Interrupt  (** interrupt or signal delivery plus rollforward lookup *)
+  | Fault_stall  (** injected worker stall *)
+  | Idle_backoff  (** backoff between dry steal rounds under faults *)
+  | Omp_fork
+  | Omp_setup
+  | Omp_dispatch
+  | Omp_contention
+  | Omp_spawn
+  | Omp_reduce
+  | Omp_join
+
+val kinds : kind list
+(** Every kind, in declaration order. *)
+
+val kind_name : kind -> string
+(** The journal and report name: ["poll"], ["promotion-branch"],
+    ["omp-dispatch"], ... *)
+
+val kind_of_name : string -> kind option
+
 type t = {
   mutable heartbeats_generated : int;
   mutable heartbeats_detected : int;
@@ -29,9 +65,11 @@ type t = {
   mutable chunk_updates : int;
   mutable work_cycles : int;  (** useful (baseline) body cycles *)
   mutable overhead_cycles : int;  (** everything that is not body work *)
-  overhead_by_kind : (string, int) Hashtbl.t;
-      (** attribution: "poll", "chunk-transfer", "closure", "outline-call",
-          "promotion-branch", "interrupt", ... *)
+  overhead_by_kind : int array;
+      (** cycles per {!kind}, indexed by declaration order; read it through
+          {!overhead_of} and {!overheads} *)
+  mutable overhead_touched : int;
+      (** bit set of the kinds ever charged, 0-cycle charges included *)
   mutable faults_beats_dropped : int;
       (** injected heartbeat-delivery losses ({!Fault_injector}) *)
   mutable faults_beats_delayed : int;  (** injected delivery-jitter events *)
@@ -47,13 +85,21 @@ type t = {
 
 val create : unit -> t
 
-val add_overhead : t -> string -> int -> unit
-(** Bump both the per-kind attribution and the overhead total. Cycle
-    attribution is not a discrete event, so it stays a direct call. *)
+val add_overhead : t -> kind -> int -> unit
+(** Bump both the per-kind attribution and the overhead total, and mark
+    the kind charged (even for 0 cycles). Cycle attribution is not a
+    discrete event, so it stays a direct call; it allocates nothing. *)
 
 val promotion_at_level : t -> int -> unit
 
-val overhead_of : t -> string -> int
+val overhead_of : t -> kind -> int
+
+val overheads : t -> (kind * int) list
+(** The kinds ever charged with their cycles, in declaration order. *)
+
+val set_overhead : t -> kind -> int -> unit
+(** Set one kind's cycles and mark it charged, leaving the total alone
+    (journal restore). *)
 
 val promotion_share_by_level : t -> float array
 (** Percentage of promotions per nesting level (sums to 100 when any). *)

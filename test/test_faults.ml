@@ -148,7 +148,7 @@ let steal_faults_engage_backoff () =
   check_bool "output = sequential" true (Sim.Run_result.fingerprints_close seq r);
   check_bool "steal failures injected" true (r.Sim.Run_result.metrics.Sim.Metrics.faults_steals_failed > 0);
   check_bool "backoff cycles attributed" true
-    (Sim.Metrics.overhead_of r.Sim.Run_result.metrics "idle-backoff" > 0)
+    (Sim.Metrics.overhead_of r.Sim.Run_result.metrics Sim.Metrics.Idle_backoff > 0)
 
 (* Injected stalls surface as attributed overhead and slow the run down
    without perturbing the output. *)
@@ -168,7 +168,8 @@ let stalls_are_attributed () =
   check_bool "stalls injected" true (m.Sim.Metrics.faults_stalls > 0);
   check_bool "stall cycles booked" true
     (m.Sim.Metrics.faults_stall_cycles >= m.Sim.Metrics.faults_stalls);
-  check_bool "stall overhead attributed" true (Sim.Metrics.overhead_of m "fault-stall" > 0)
+  check_bool "stall overhead attributed" true
+    (Sim.Metrics.overhead_of m Sim.Metrics.Fault_stall > 0)
 
 (* Identical plans reproduce identical fault schedules: the whole run —
    makespan, injections, downgrades — is a pure function of the config. *)

@@ -26,4 +26,5 @@ let () =
       ("native_faults", Test_native_faults.suite);
       ("native_beats", Test_native_beats.suite);
       ("server", Test_server.suite);
+      ("pin", Test_pin.suite);
     ]

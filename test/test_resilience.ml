@@ -47,7 +47,7 @@ let sample_result () =
   metrics.Sim.Metrics.heartbeats_detected <- 40;
   metrics.Sim.Metrics.promotions <- 7;
   metrics.Sim.Metrics.promotions_by_level.(2) <- 5;
-  Sim.Metrics.add_overhead metrics "poll" 123;
+  Sim.Metrics.add_overhead metrics Sim.Metrics.Poll 123;
   metrics.Sim.Metrics.downgrades <- 2;
   {
     Sim.Run_result.makespan = 123_456;
@@ -91,7 +91,7 @@ let roundtrip_completed () =
           let m = r.Sim.Run_result.metrics in
           check_int "counter" 41 m.Sim.Metrics.heartbeats_generated;
           check_int "per-level promotions" 5 m.Sim.Metrics.promotions_by_level.(2);
-          check_int "overhead kind" 123 (Sim.Metrics.overhead_of m "poll");
+          check_int "overhead kind" 123 (Sim.Metrics.overhead_of m Sim.Metrics.Poll);
           check_int "downgrade counter" 2 (Sim.Metrics.downgrade_count m);
           check_bool "trace round-trips exactly" true (r.Sim.Run_result.trace = sample_trace);
           check_bool "downgrade events queryable" true
@@ -150,6 +150,57 @@ let torn_lines_skipped () =
   check_int "clean after rewrite" 0 (Experiments.Checkpoint.skipped_lines j2);
   check_int "still one entry" 1 (Experiments.Checkpoint.loaded j2);
   Experiments.Checkpoint.close j2;
+  Sys.remove path
+
+(* The overhead object lists exactly the charged kinds, 0-cycle ones too,
+   and survives a round trip byte for byte; a kind name this build does
+   not know makes the record unreadable, so resume re-runs the trial
+   rather than dropping those cycles from the attribution. *)
+let overhead_kinds_roundtrip () =
+  let r = sample_result () in
+  Sim.Metrics.add_overhead r.Sim.Run_result.metrics Sim.Metrics.Interrupt 0;
+  let entry =
+    {
+      Experiments.Checkpoint.key = "k1";
+      bench = "b";
+      tag = "t";
+      scale = 1.0;
+      workers = 64;
+      seed = 1;
+      status = Experiments.Checkpoint.Completed r;
+    }
+  in
+  let line = Experiments.Checkpoint.entry_to_json entry in
+  let find sub =
+    let n = String.length sub in
+    let rec at i =
+      if i + n > String.length line then None
+      else if String.sub line i n = sub then Some i
+      else at (i + 1)
+    in
+    at 0
+  in
+  let listed = {|"overhead":{"interrupt":0,"poll":123}|} in
+  check_bool "zero-valued kind listed" true (find listed <> None);
+  (match Experiments.Checkpoint.entry_of_json line with
+  | Ok e ->
+      check_string "re-encodes byte-identically" line (Experiments.Checkpoint.entry_to_json e)
+  | Error msg -> Alcotest.failf "decode failed: %s" msg);
+  let unknown =
+    let i = Option.get (find listed) in
+    String.sub line 0 i ^ {|"overhead":{"interrupt":0,"pol":123}|}
+    ^ String.sub line (i + String.length listed) (String.length line - i - String.length listed)
+  in
+  check_bool "unknown kind rejected" true
+    (Result.is_error (Experiments.Checkpoint.entry_of_json unknown));
+  let path = temp_journal () in
+  let oc = open_out path in
+  output_string oc (unknown ^ "\n");
+  close_out oc;
+  let j = Experiments.Checkpoint.create ~path ~resume:true in
+  check_int "skipped" 1 (Experiments.Checkpoint.skipped_lines j);
+  check_bool "trial re-runs" true (Experiments.Checkpoint.find j "k1" = None);
+  Experiments.Checkpoint.close j;
   Sys.remove path
 
 (* ---------------- checkpoint/resume through the harness ---------------- *)
@@ -404,6 +455,7 @@ let suite =
     Alcotest.test_case "journal: completed round-trip" `Quick roundtrip_completed;
     Alcotest.test_case "journal: failed round-trip" `Quick roundtrip_failed;
     Alcotest.test_case "journal: torn lines skipped" `Quick torn_lines_skipped;
+    Alcotest.test_case "journal: overhead kinds round-trip" `Quick overhead_kinds_roundtrip;
     Alcotest.test_case "resume skips completed trials" `Quick resume_skips_completed;
     Alcotest.test_case "config hash invalidates entries" `Quick config_change_invalidates;
     Alcotest.test_case "watchdog: cycle budget times out" `Quick budget_watchdog_times_out;

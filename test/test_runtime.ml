@@ -257,8 +257,9 @@ let tpal_skips_chunk_transfer () =
       p
   in
   check_bool "hbc pays transfer" true
-    (Sim.Metrics.overhead_of hbc.Sim.Run_result.metrics "chunk-transfer" > 0);
-  check_int "tpal does not" 0 (Sim.Metrics.overhead_of tpal.Sim.Run_result.metrics "chunk-transfer")
+    (Sim.Metrics.overhead_of hbc.Sim.Run_result.metrics Sim.Metrics.Chunk_transfer > 0);
+  check_int "tpal does not" 0
+    (Sim.Metrics.overhead_of tpal.Sim.Run_result.metrics Sim.Metrics.Chunk_transfer)
 
 let interrupt_mode_has_no_polls () =
   let p = make_irregular ~rows:2_000 ~max_size:12 ~seed:11 in
@@ -573,7 +574,7 @@ let overhead_attribution_consistent () =
   let p = make_irregular ~rows:3_000 ~max_size:25 ~seed:77 in
   let r = run_hbc p in
   let m = r.Sim.Run_result.metrics in
-  let sum = Hashtbl.fold (fun _ v acc -> acc + v) m.Sim.Metrics.overhead_by_kind 0 in
+  let sum = Array.fold_left ( + ) 0 m.Sim.Metrics.overhead_by_kind in
   check_int "attribution sums to total" m.Sim.Metrics.overhead_cycles sum;
   check_bool "work + overhead >= makespan budget sanity" true
     (m.Sim.Metrics.work_cycles + m.Sim.Metrics.overhead_cycles

@@ -232,11 +232,34 @@ let membus_zero_bytes () =
 
 let metrics_overhead_attribution () =
   let m = Sim.Metrics.create () in
-  Sim.Metrics.add_overhead m "poll" 50;
-  Sim.Metrics.add_overhead m "poll" 25;
-  Sim.Metrics.add_overhead m "steal" 10;
-  check_int "per kind" 75 (Sim.Metrics.overhead_of m "poll");
-  check_int "total" 85 m.Sim.Metrics.overhead_cycles
+  Sim.Metrics.add_overhead m Sim.Metrics.Steal 10;
+  Sim.Metrics.add_overhead m Sim.Metrics.Poll 50;
+  Sim.Metrics.add_overhead m Sim.Metrics.Poll 25;
+  Sim.Metrics.add_overhead m Sim.Metrics.Interrupt 0;
+  check_int "per kind" 75 (Sim.Metrics.overhead_of m Sim.Metrics.Poll);
+  check_int "total" 85 m.Sim.Metrics.overhead_cycles;
+  (* Charged kinds only, 0-cycle charges included, in declaration order. *)
+  Alcotest.(check (list (pair string int)))
+    "charged kinds" [ ("poll", 75); ("steal", 10); ("interrupt", 0) ]
+    (List.map (fun (k, v) -> (Sim.Metrics.kind_name k, v)) (Sim.Metrics.overheads m))
+
+(* Every kind has its own name and slot, and names parse back. *)
+let metrics_kind_names () =
+  let kinds = Sim.Metrics.kinds in
+  check_int "22 kinds" 22 (List.length kinds);
+  let names = List.map Sim.Metrics.kind_name kinds in
+  check_int "names distinct" 22 (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun k ->
+      check_bool (Sim.Metrics.kind_name k ^ " parses back") true
+        (Sim.Metrics.kind_of_name (Sim.Metrics.kind_name k) = Some k))
+    kinds;
+  check_bool "unknown name" true (Sim.Metrics.kind_of_name "pol" = None);
+  let m = Sim.Metrics.create () in
+  List.iteri (fun i k -> Sim.Metrics.add_overhead m k (i + 1)) kinds;
+  Alcotest.(check (list int))
+    "one slot per kind" (List.init 22 (fun i -> i + 1))
+    (List.map (Sim.Metrics.overhead_of m) kinds)
 
 let metrics_promotion_shares () =
   let m = Sim.Metrics.create () in
@@ -330,6 +353,7 @@ let suite =
     Alcotest.test_case "membus: idles" `Quick membus_idle_resets;
     Alcotest.test_case "membus: zero bytes" `Quick membus_zero_bytes;
     Alcotest.test_case "metrics: attribution" `Quick metrics_overhead_attribution;
+    Alcotest.test_case "metrics: kind names" `Quick metrics_kind_names;
     Alcotest.test_case "metrics: promotion shares" `Quick metrics_promotion_shares;
     Alcotest.test_case "metrics: detection rate" `Quick metrics_detection_rate;
     Alcotest.test_case "cost model: conversions" `Quick cost_model_conversions;
