@@ -69,6 +69,10 @@ echo "check.sh: sanitizer + fuzz smoke OK"
 # the sequential fingerprint (exit 4 on mismatch) and its linearized trace
 # must satisfy the full sanitizer invariant set (exit 3 on violation) ---
 "$REPRO" run spmv-powerlaw --scale 0.05 --backend domains -e hbc -w 2 --sanitize > /dev/null
+# TPAL runs every leftover inline inside the promotion handler, a branch
+# the HBC smoke never takes; the poll beat makes it promote on any machine.
+"$REPRO" run spmv-powerlaw --scale 0.05 --backend domains -e tpal -w 2 --beat polls:16 \
+    --sanitize > /dev/null
 # The same at the benchmark's native-fine input size: its trace holds
 # ~200k records, so a sanitizer whose per-record cost grows with the trace
 # blows the 60 s limit (exit 124) instead of passing in about a second.

@@ -13,7 +13,11 @@
     current context chain with at least one remaining iteration, consumes
     its remaining iterations from the running task, splits them into two
     slice tasks, and materializes the leftover task from the leftover table.
-    Reductions get fresh locals per slice half, combined at the join. *)
+    Reductions get fresh locals per slice half; each finishing half
+    combines into the parent's locals in completion order, before the
+    join completes (spawn order would move pinned fingerprints and
+    makespans). The interpreter is
+    {!Interp.Make}, shared with the native domains runner. *)
 
 exception Did_not_finish
 (** Raised internally when the run exceeds [max_cycles]; reported as

@@ -53,6 +53,9 @@ val critical : t -> (unit -> unit) -> unit
 
 val emit : t -> Obs.Trace.event -> unit
 
+val overhead : t -> Sim.Metrics.kind -> int -> unit
+(** Charge [c > 0] overhead cycles: one engine advance, per-kind attribution. *)
+
 val push : t -> Sched.Task.t -> unit
 
 val pop : t -> Sched.Task.t option

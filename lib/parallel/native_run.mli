@@ -9,7 +9,10 @@
     capture-gated {!Obs.Trace} events at the same operation boundaries,
     so {!Sanitizer.Checker} validates native streams with its full
     invariant set, and fingerprints cross-check against simulator runs
-    of the same program.
+    of the same program. Both run the one interpreter
+    {!Hbc_core.Interp.Make}. Reductions differ in one respect: halves are
+    combined on the owner after the join, in spawn order, because
+    concurrent combines into the parent's locals would race.
 
     {b Chaos.} A backend-portable fault plan ({!Sim.Fault_plan.portable})
     arms seed-deterministic fault injection on the domains backend:

@@ -12,13 +12,21 @@
    reruns"; this file is the pin across builds. When a change is meant to
    shift schedules, the test writes the new rendering next to the test
    binary as sim_pin.actual, to be reviewed and copied over
-   golden/sim_pin.txt. *)
+   golden/sim_pin.txt.
+
+   The native pin does the same for the domains backend at one worker
+   under the deterministic poll-count beat, where a run is byte-stable:
+   for each Fig. 4 program under HBC (plus static chunking, no chunking,
+   TPAL's inline leftover, a promotion budget of 3, a portable chaos plan
+   and one pause at a fixed boundary), one line records the fingerprint,
+   body work, polls, detected beats, promotions, downgrades, the pause's
+   checkpoint digest and the captured trace's length and MD5. Native
+   traces stamp a logical tick, not wall time, so they too are
+   reproducible; a mismatch writes native_pin.actual. *)
 
 let scale = 0.01
 
 let seed = 1
-
-let golden = "golden/sim_pin.txt"
 
 let overhead_pairs (m : Sim.Metrics.t) =
   List.map (fun (k, v) -> (Sim.Metrics.kind_name k, v)) (Sim.Metrics.overheads m)
@@ -148,7 +156,67 @@ let render () =
   List.concat_map program_lines (Workloads.Registry.irregular_set ())
   @ [ fork_join_line 8; fork_join_line 64 ]
 
-let matches_golden () =
+(* ------------------------------------------------------------------ *)
+(* Native pin: domains backend, P=1, Every_polls 16, traced.             *)
+(* ------------------------------------------------------------------ *)
+
+let native_cfg = { Hbc_core.Rt_config.default with workers = 1 }
+
+let native_chaos =
+  {
+    Sim.Fault_plan.none with
+    Sim.Fault_plan.seed = 0x5EED;
+    beat_drop_prob = 0.3;
+    stall_prob = 0.1;
+    stall_polls = 8;
+  }
+
+let native ?(f = fun c -> c) ?promotion_budget ?fault_plan ?pause_at p =
+  let request =
+    Hbc_core.Run_request.make ~backend:Sched.Policy.Domains ?promotion_budget ?fault_plan
+      ?pause_at ~trace:(Obs.Trace.Sink.stream ()) ()
+  in
+  Hb_parallel.Native_run.run ~request ~beat:(Hb_parallel.Native_run.Every_polls 16) (f native_cfg)
+    p
+
+let native_line ~bench ~tag (r : Sim.Run_result.t) =
+  let m = r.Sim.Run_result.metrics in
+  let term =
+    match r.Sim.Run_result.termination with
+    | Sim.Run_result.Paused ck -> "paused:" ^ Sim.Checkpoint_state.digest ck
+    | t -> Sim.Run_result.termination_to_string t
+  in
+  Printf.sprintf
+    "%s %s fp=%h work=%d polls=%d detected=%d promotions=%d downgrades=%d %s trace=%d:%s" bench
+    tag r.Sim.Run_result.fingerprint r.Sim.Run_result.work_cycles m.Sim.Metrics.polls
+    m.Sim.Metrics.heartbeats_detected m.Sim.Metrics.promotions m.Sim.Metrics.downgrades term
+    (List.length r.Sim.Run_result.trace)
+    (md5 (Marshal.to_string r.Sim.Run_result.trace [ Marshal.No_sharing ]))
+
+let native_program_lines (entry : Workloads.Registry.entry) =
+  let bench = entry.Workloads.Registry.name in
+  let (Ir.Program.Any p) = entry.Workloads.Registry.make scale in
+  let static c = { c with Hbc_core.Rt_config.chunk = Hbc_core.Compiled.Static 8 } in
+  let no_chunking c = { c with Hbc_core.Rt_config.chunk = Hbc_core.Compiled.No_chunking } in
+  let tpal (c : Hbc_core.Rt_config.t) =
+    {
+      (Hbc_core.Rt_config.tpal ~chunk:entry.Workloads.Registry.tpal_chunk) with
+      Hbc_core.Rt_config.workers = c.Hbc_core.Rt_config.workers;
+    }
+  in
+  [
+    native_line ~bench ~tag:"hbc" (native p);
+    native_line ~bench ~tag:"static8" (native ~f:static p);
+    native_line ~bench ~tag:"nochunk" (native ~f:no_chunking p);
+    native_line ~bench ~tag:"tpal" (native ~f:tpal p);
+    native_line ~bench ~tag:"budget3" (native ~promotion_budget:3 p);
+    native_line ~bench ~tag:"chaos" (native ~fault_plan:native_chaos p);
+    native_line ~bench ~tag:"pause300" (native ~pause_at:300 p);
+  ]
+
+let native_render () = List.concat_map native_program_lines (Workloads.Registry.irregular_set ())
+
+let matches_golden ~golden ~actual_file ~what render () =
   let actual = render () in
   let expected =
     In_channel.with_open_text golden In_channel.input_all
@@ -156,7 +224,7 @@ let matches_golden () =
     |> List.filter (fun l -> l <> "")
   in
   if actual <> expected then begin
-    let oc = open_out "sim_pin.actual" in
+    let oc = open_out actual_file in
     List.iter (fun l -> output_string oc (l ^ "\n")) actual;
     close_out oc;
     let rec first_diff = function
@@ -166,8 +234,16 @@ let matches_golden () =
       | [], [] -> None
     in
     match first_diff (expected, actual) with
-    | Some (e, a) -> Alcotest.failf "simulation pin differs:\nexpected %s\nactual   %s" e a
+    | Some (e, a) -> Alcotest.failf "%s pin differs:\nexpected %s\nactual   %s" what e a
     | None -> ()
   end
 
-let suite = [ Alcotest.test_case "sim pin matches golden file" `Quick matches_golden ]
+let suite =
+  [
+    Alcotest.test_case "sim pin matches golden file" `Quick
+      (matches_golden ~golden:"golden/sim_pin.txt" ~actual_file:"sim_pin.actual" ~what:"simulation"
+         render);
+    Alcotest.test_case "native pin matches golden file" `Quick
+      (matches_golden ~golden:"golden/native_pin.txt" ~actual_file:"native_pin.actual"
+         ~what:"native" native_render);
+  ]
